@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import data as data_mod
@@ -82,7 +81,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--normalization", choices=("k2", "s2"), default="k2")
     p.add_argument("--estimators", default="rwc,rwc-s,wy,gt,naive")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=int(os.environ.get("SUPPEST_THREADS", "1")))
     _add_solver_flags(p)
 
     p = sub.add_parser("converge", help="grid-refinement convergence study")
@@ -211,7 +209,6 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         normalization=args.normalization,
         n_mode="fraction",
-        threads=args.threads,
     )
     if args.format == "csv":
         sys.stdout.write(report.to_csv())

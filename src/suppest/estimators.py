@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data import Fingerprint
 from .poly import Polynomial, g_values, shifted_cheb_coeffs
 from .sip import (
@@ -82,17 +84,19 @@ def wy_coefficients(k: float, n: float, c0: float = 0.558, c1: float = 0.5) -> P
     return shifted_cheb_coeffs(degree, lo, hi)
 
 
-def _solve_weighted(k: float, n: float, reg_weight: float, spec: EstimatorSpec) -> SolveResult:
+def _solve_weighted(
+    k: float, n: float, reg_weight: float, spec: EstimatorSpec, init_weights: np.ndarray | None = None
+) -> SolveResult:
     degree = degree_for(k, spec.c0)
     if degree < 1:
         # pure counting estimator; solve the trivial single-point instance
         interval = IntervalSpec(n / k, n / k, degenerate=True)
         problem = SipProblem(0, build_grid(interval, 1), reg_weight)
-        return solve(problem, tol=spec.tol, max_iter=spec.max_iter)
-    interval = localized_interval(n, k, degree)
-    grid = build_grid(interval, 1 if interval.degenerate else spec.s)
-    problem = SipProblem(degree, grid, reg_weight)
-    return solve(problem, tol=spec.tol, max_iter=spec.max_iter)
+    else:
+        interval = localized_interval(n, k, degree)
+        grid = build_grid(interval, 1 if interval.degenerate else spec.s)
+        problem = SipProblem(degree, grid, reg_weight)
+    return solve(problem, tol=spec.tol, max_iter=spec.max_iter, init_weights=init_weights)
 
 
 def rwc_coefficients(k: float, n: float, spec: EstimatorSpec) -> SolveResult:
@@ -100,11 +104,18 @@ def rwc_coefficients(k: float, n: float, spec: EstimatorSpec) -> SolveResult:
     return _solve_weighted(k, n, 1.0 / k, spec)
 
 
-def rwcs_coefficients(k: float, n: float, s_count: float, spec: EstimatorSpec) -> SolveResult:
-    """RWC variant with variance weight 1 over the naive counting estimate."""
+def rwcs_coefficients(
+    k: float, n: float, s_count: float, spec: EstimatorSpec, init_weights: np.ndarray | None = None
+) -> SolveResult:
+    """RWC variant with variance weight 1 over the naive counting estimate.
+
+    `init_weights` warm-starts the solver from the dual weights of an earlier
+    solve on the same (k, n, spec) grid, such as a neighbouring count; the
+    result is certified to the same tolerance either way.
+    """
     if s_count < 1:
         raise ValueError(f"counting estimate must be >= 1, got {s_count}")
-    return _solve_weighted(k, n, 1.0 / s_count, spec)
+    return _solve_weighted(k, n, 1.0 / s_count, spec, init_weights)
 
 
 def apply_poly_estimator(fp: Fingerprint, p: Polynomial) -> float:

@@ -2,9 +2,12 @@
 
 Runs are driven entirely by (specs, distributions, n grid, trials, seed) and
 produce deterministic reports: per-trial samples are drawn from splittable
-child seeds keyed by (distribution, n, trial), so results do not depend on
-evaluation order or the number of worker threads.  Wall-clock runtimes are
-recorded but kept out of the CSV so repeated runs are byte-identical.
+child seeds keyed by (distribution, n, trial), cells run serially in a fixed
+order, and within a cell the distinct RWC-S counts are solved in sorted order,
+each warm-started from the previous solve.  The warm start makes the stored
+coefficients depend on that order (within the solver tolerance), which is
+why the order is fixed.  Wall-clock runtimes are recorded but kept out of the
+CSV so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +140,7 @@ def _poly_cache_key(kind: str, k: float, n: int, spec: est_mod.EstimatorSpec, ex
 
 def _cell_estimates(spec, dist, n, fps, cache) -> list[float]:
     """Estimates for every trial fingerprint; RWC/WY coefficients are data
-    independent and solved once, RWC-S re-solves whenever S_c changes."""
+    independent and solved once, RWC-S solves once per distinct S_c."""
     k = dist.k
     kind = spec.kind
     if kind in ("naive", "gt"):
@@ -155,15 +157,19 @@ def _cell_estimates(spec, dist, n, fps, cache) -> list[float]:
             cache[key] = est_mod.rwc_coefficients(k, n, spec).coeffs
         p = cache[key]
         return [est_mod.apply_poly_estimator(fp, p) for fp in fps]
-    # rwc-s: the regularizer depends on the per-trial naive count
-    values = []
-    for fp in fps:
-        s_c = est_mod.naive_count(fp)
+    # rwc-s: the regularizer depends on the per-trial naive count.  Nearby
+    # counts give nearly the same minimax, so the uncached ones are solved in
+    # ascending order, each starting from the previous solve's dual weights.
+    counts = [est_mod.naive_count(fp) for fp in fps]
+    coeffs, weights = {}, None
+    for s_c in sorted(set(counts)):
         key = _poly_cache_key(kind, k, n, spec, extra=s_c)
         if key not in cache:
-            cache[key] = est_mod.rwcs_coefficients(k, n, s_c, spec).coeffs
-        values.append(est_mod.apply_poly_estimator(fp, cache[key]))
-    return values
+            result = est_mod.rwcs_coefficients(k, n, s_c, spec, init_weights=weights)
+            cache[key] = result.coeffs
+            weights = result.dual_weights
+        coeffs[s_c] = cache[key]
+    return [est_mod.apply_poly_estimator(fp, coeffs[s_c]) for fp, s_c in zip(fps, counts)]
 
 
 def evaluate_risk(
@@ -174,7 +180,6 @@ def evaluate_risk(
     seed: int,
     normalization: str = "k2",
     n_mode: str = "absolute",
-    threads: int = 1,
 ) -> RiskReport:
     """Monte-Carlo risk sweep over (estimator x distribution x n) cells.
 
@@ -195,15 +200,13 @@ def evaluate_risk(
     ]
 
     cache: dict = {}
-
-    def run_cell(cell):
-        di, ni, n = cell
+    rows = []
+    for di, ni, n in cells:
         dist = dists[di]
         fps = [
             data_mod.sample_fingerprint(dist, n, data_mod.child_seed(seed, di, ni, t))
             for t in range(trials)
         ]
-        rows = []
         denom = dist.k**2 if normalization == "k2" else float(dist.support) ** 2
         for spec in specs:
             start = time.perf_counter()
@@ -229,15 +232,7 @@ def evaluate_risk(
                     time.perf_counter() - start,
                 )
             )
-        return rows
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(run_cell, cells))
-    else:
-        per_cell = [run_cell(c) for c in cells]
-
-    rows = [row for cell_rows in per_cell for row in cell_rows]
     rows.sort(key=lambda r: (r.estimator, r.distribution, r.n))
     return RiskReport(tuple(rows))
 

@@ -32,7 +32,11 @@ class InvalidGridError(ValueError):
 
 
 class RankDeficiencyError(RuntimeError):
-    """Unregularized aggregate matrix is singular; use a larger grid or a ridge."""
+    """Aggregate matrix is not numerically positive definite.
+
+    Unregularized problems hit this on too coarse a grid; regularized ones
+    when the variance weight is too small to lift it, as at k = 1e20.
+    """
 
 
 class NonConvergenceError(RuntimeError):
@@ -69,14 +73,13 @@ class SipProblem:
     degree: int
     grid: GridSpec
     reg_weight: float
-    ridge: float = 0.0
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         if self.reg_weight < 0.0:
             raise ValueError("reg_weight must be >= 0")
-        if self.reg_weight == 0.0 and self.ridge == 0.0 and self.grid.s < self.degree + 2:
+        if self.reg_weight == 0.0 and self.grid.s < self.degree + 2:
             raise ValueError(
                 f"unregularized problem needs s >= L + 2 grid points, got s={self.grid.s}"
             )
@@ -172,8 +175,6 @@ class _QuadData:
             self.Q = vb[:, :, None] * vb[:, None, :]
             idx = np.arange(degree)
             self.Q[:, idx, idx] += m[:, 1:]
-            if problem.ridge:
-                self.Q[:, idx, idx] += problem.ridge
             self.c = v[:, 0:1] * vb
 
     def aggregate(self, w: np.ndarray):
@@ -202,7 +203,7 @@ class _QuadData:
         return Polynomial(tuple(coeffs))
 
 
-def _dual_solve(data: _QuadData, w: np.ndarray, unregularized: bool):
+def _dual_solve(data: _QuadData, w: np.ndarray):
     """Exact inner minimization: b*(w) and the dual value q(w)."""
     qbar, cbar, rbar = data.aggregate(w)
     if data.degree == 0:
@@ -210,12 +211,10 @@ def _dual_solve(data: _QuadData, w: np.ndarray, unregularized: bool):
     try:
         ch = np.linalg.cholesky(qbar)
     except np.linalg.LinAlgError:
-        if unregularized:
-            raise RankDeficiencyError(
-                "aggregate matrix is singular with reg_weight = 0; "
-                "increase the grid size or enable a ridge"
-            ) from None
-        raise
+        raise RankDeficiencyError(
+            "aggregate matrix is not numerically positive definite; "
+            "increase the grid size or use a smaller k"
+        ) from None
     y = np.linalg.solve(ch, cbar)
     b = np.linalg.solve(ch.T, y)
     return b, rbar - float(cbar @ b)
@@ -232,7 +231,7 @@ def _peak_indices(h: np.ndarray, limit: int) -> np.ndarray:
     return peaks[order][:limit]
 
 
-def _face_newton(data, cand, ws, unreg, tol, max_rounds=60):
+def _face_newton(data, cand, ws, tol, max_rounds=60):
     """Maximize the dual restricted to the face spanned by `cand`.
 
     Newton on the stationarity system (equal h_i across the support plus the
@@ -251,15 +250,15 @@ def _face_newton(data, cand, ws, unreg, tol, max_rounds=60):
         return w
 
     try:
-        _, q = _dual_solve(data, full(ws, cand), unreg)
-    except (np.linalg.LinAlgError, RankDeficiencyError):
+        _, q = _dual_solve(data, full(ws, cand))
+    except RankDeficiencyError:
         return None, 1
     rounds = 1
     for _ in range(max_rounds):
         wfull = full(ws, cand)
         try:
-            b, q = _dual_solve(data, wfull, unreg)
-        except (np.linalg.LinAlgError, RankDeficiencyError):
+            b, q = _dual_solve(data, wfull)
+        except RankDeficiencyError:
             return None, rounds
         hs = data.h_all_at(b, cand)
         t_est = float(ws @ hs)
@@ -308,8 +307,8 @@ def _face_newton(data, cand, ws, unreg, tol, max_rounds=60):
                         trial = trial / total
                         rounds += 1
                         try:
-                            b_try, q_try = _dual_solve(data, full(trial, cand), unreg)
-                        except (np.linalg.LinAlgError, RankDeficiencyError):
+                            b_try, q_try = _dual_solve(data, full(trial, cand))
+                        except RankDeficiencyError:
                             q_try = -np.inf
                         # take the step on clear dual progress, or near the
                         # optimum (dual increments below double precision) on
@@ -349,7 +348,7 @@ def solve(
         raise ValueError("tol must be positive")
     data = _QuadData(problem)
     s = problem.grid.s
-    unreg = problem.reg_weight == 0.0 and problem.ridge == 0.0
+    unreg = problem.reg_weight == 0.0
 
     if init_weights is None:
         w = np.full(s, 1.0 / s)
@@ -370,7 +369,7 @@ def solve(
         return SolveResult(Polynomial((-1.0,)), float(data.r[i]), 0.0, 0, dual)
 
     def evaluate(wvec):
-        b, q = _dual_solve(data, wvec, unreg)
+        b, q = _dual_solve(data, wvec)
         h = data.h_all(b)
         return b, q, h, float(h.max())
 
@@ -386,7 +385,7 @@ def solve(
         support = np.argsort(w)[::-1][: problem.degree + 1]
         support = support[w[support] > 1e-9]
         cand = np.unique(np.concatenate([_peak_indices(h, problem.degree + 1), support]))
-        wn, rounds = _face_newton(data, cand, np.maximum(w[cand], 1e-12), unreg, tol)
+        wn, rounds = _face_newton(data, cand, np.maximum(w[cand], 1e-12), tol)
         iterations += rounds
         improved = False
         if wn is not None:
@@ -443,7 +442,7 @@ def solve(
     coeffs = data.unscale(b_best)
     # report the primal value through the same evaluation path callers use
     t_d = float(objective_values(coeffs, problem.grid.points, problem.reg_weight)[2].max())
-    gap = max(t_d - (_dual_solve(data, w_best, unreg)[1]), 0.0)
+    gap = max(t_d - (_dual_solve(data, w_best)[1]), 0.0)
     result = SolveResult(coeffs, t_d, gap, iterations, w_best)
     if gap > tol:
         raise NonConvergenceError(

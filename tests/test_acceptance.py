@@ -39,8 +39,6 @@ from suppest.poly import Polynomial, g_values, objective_values, shifted_cheb_co
 from suppest.sip import SipProblem, build_grid, localized_interval, solve
 from _rational import apply_estimator_exact, good_turing_exact, shifted_cheb_exact
 
-THREADS = 4
-
 
 def _report(num, name):
     print(f"ACCEPTANCE {num} ({name}): PASS", flush=True)
@@ -163,7 +161,7 @@ def test_criterion_6_risk_regression():
         make_distribution("benford", 1e-4),
     ]
     specs = [EstimatorSpec(kind) for kind in ("rwc", "rwc-s", "wy", "gt", "naive")]
-    common = dict(trials=100, seed=20240101, n_mode="fraction", threads=THREADS)
+    common = dict(trials=100, seed=20240101, n_mode="fraction")
     rep_k2 = evaluate_risk(specs, suite, [1.0], normalization="k2", **common)
     rep_s2 = evaluate_risk(specs, suite, [1.0], normalization="s2", **common)
     rwc, wy = rep_k2.worst_case("rwc"), rep_k2.worst_case("wy")

@@ -91,6 +91,14 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "rwc-s")
         assert code == 1
 
+    def test_not_positive_definite_exit_2(self, capsys):
+        # the aggregate matrix loses positive definiteness at k = 1e20: a
+        # numerical failure, not an input error
+        code, _, err = run(capsys, "coeffs", "--k", "1e20", "--n", "1e20")
+        assert code == 2
+        assert "numerical failure" in err
+        assert "positive definite" in err
+
 
 class TestSimulate:
     ARGS = (

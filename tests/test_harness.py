@@ -3,16 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from suppest import harness
 from suppest.data import child_seed, make_distribution, sample_fingerprint
-from suppest.estimators import EstimatorSpec, estimate
+from suppest.estimators import (
+    EstimatorSpec,
+    apply_poly_estimator,
+    degree_for,
+    estimate,
+    naive_count,
+    rwcs_coefficients,
+)
 from suppest.harness import (
     bias_curve,
     bias_curve_to_csv,
     evaluate_risk,
     grid_convergence_study,
 )
-from suppest.poly import Polynomial
-from suppest.sip import IntervalSpec
+from suppest.poly import Polynomial, objective_values
+from suppest.sip import IntervalSpec, build_grid, localized_interval
 
 
 class TestEvaluateRisk:
@@ -40,13 +48,52 @@ class TestEvaluateRisk:
         row = report.rows[0]
         assert row.normalized_mse == pytest.approx(row.mse / dist.support**2)
 
-    def test_csv_deterministic_across_threads(self):
-        dists = [make_distribution("uniform", 1e-2), make_distribution("zipf", 1e-2, alpha=1.0)]
-        specs = [EstimatorSpec("naive"), EstimatorSpec("gt")]
-        kwargs = dict(trials=5, seed=9)
-        a = evaluate_risk(specs, dists, [50, 100], **kwargs, threads=1).to_csv()
-        b = evaluate_risk(specs, dists, [50, 100], **kwargs, threads=4).to_csv()
-        assert a == b
+    def test_csv_deterministic_run_to_run(self):
+        # zipf(1), zipf(0.25) and benford all have k = 101, so at n = k their
+        # rwc-s cells share cache entries solved along one warm-started chain
+        dists = [
+            make_distribution("zipf", 1e-2, alpha=1.0),
+            make_distribution("zipf", 1e-2, alpha=0.25),
+            make_distribution("benford", 1e-2),
+        ]
+        assert len({d.k for d in dists}) == 1
+        specs = [EstimatorSpec(kind) for kind in ("rwc-s", "naive", "gt")]
+        kwargs = dict(trials=6, seed=9, n_mode="fraction")
+        a = evaluate_risk(specs, dists, [0.5, 1.0], **kwargs)
+        b = evaluate_risk(specs, dists, [0.5, 1.0], **kwargs)
+        assert not any(r.error for r in a.rows)
+        assert a.to_csv() == b.to_csv()
+
+    def test_rwcs_warm_chain_certifies(self, monkeypatch):
+        dist = make_distribution("zipf", 1e-3, alpha=0.5)
+        n, k = 200, dist.k
+        spec = EstimatorSpec("rwc-s", s=200)
+        fps = [sample_fingerprint(dist, n, child_seed(5, 0, 0, t)) for t in range(8)]
+        calls = []
+
+        def recording(k_, n_, s_count, spec_, init_weights=None):
+            result = rwcs_coefficients(k_, n_, s_count, spec_, init_weights=init_weights)
+            calls.append((s_count, init_weights is not None, result.coeffs))
+            return result
+
+        monkeypatch.setattr(harness.est_mod, "rwcs_coefficients", recording)
+        values = harness._cell_estimates(spec, dist, n, fps, {})
+        monkeypatch.undo()
+        counts = [naive_count(fp) for fp in fps]
+        # each distinct count solved once, ascending, warm after the first
+        assert [c for c, _, _ in calls] == sorted(set(counts))
+        assert len(calls) >= 3
+        assert [warm for _, warm, _ in calls] == [False] + [True] * (len(calls) - 1)
+
+        grid = build_grid(localized_interval(n, k, degree_for(k, spec.c0)), spec.s)
+        coeffs = {s_c: p for s_c, _, p in calls}
+        for fp, s_c, value in zip(fps, counts, values):
+            assert value == apply_poly_estimator(fp, coeffs[s_c])
+        for s_c, p in coeffs.items():
+            cold = rwcs_coefficients(k, n, s_c, spec)
+            warm_max = float(objective_values(p, grid.points, 1.0 / s_c)[2].max())
+            # both solves certify a gap <= tol on the same program
+            assert abs(warm_max - cold.t_d) <= spec.tol
 
     def test_fraction_mode(self):
         dist = make_distribution("uniform", 1e-2)
