@@ -25,13 +25,9 @@ from .estimators import (
     wy_coefficients,
 )
 from .poly import (
-    ObjectiveParams,
     Polynomial,
-    cheb_t,
     g_values,
-    objective_g,
     objective_values,
-    poly_eval,
     shifted_cheb_coeffs,
 )
 from .sip import (

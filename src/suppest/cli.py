@@ -16,7 +16,7 @@ from . import data as data_mod
 from . import estimators as est_mod
 from . import harness as harness_mod
 from .estimators import CoverageZeroError, IntervalCollapseError
-from .sip import NonConvergenceError, RankDeficiencyError, build_grid, localized_interval, SipProblem, solve
+from .sip import MAX_ITER, NonConvergenceError, RankDeficiencyError, localized_interval
 
 DEFAULT_SUITE = ("uniform", "zipf:1.5", "zipf:1", "zipf:0.5", "zipf:0.25", "benford")
 
@@ -48,7 +48,7 @@ def _add_solver_flags(p):
     p.add_argument("--c1", type=float, default=0.5, help="WY interval constant (default 0.5)")
     p.add_argument("--s", type=int, default=1000, help="grid points for the discretized program (default 1000)")
     p.add_argument("--tol", type=float, default=1e-8, help="solver duality-gap tolerance (default 1e-8)")
-    p.add_argument("--max-iter", type=int, default=200_000, help="solver iteration budget (default 200000)")
+    p.add_argument("--max-iter", type=int, default=MAX_ITER, help=f"solver interior-point iteration budget (default {MAX_ITER})")
 
 
 def _build_parser() -> _Parser:

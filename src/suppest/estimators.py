@@ -18,6 +18,7 @@ import numpy as np
 from .data import Fingerprint
 from .poly import Polynomial, g_values, shifted_cheb_coeffs
 from .sip import (
+    MAX_ITER,
     IntervalSpec,
     SipProblem,
     SolveResult,
@@ -44,7 +45,7 @@ class EstimatorSpec:
     c1: float = 0.5
     s: int = 1000
     tol: float = 1e-8
-    max_iter: int = 200_000
+    max_iter: int = MAX_ITER
     fallback_to_naive: bool = False
 
     def __post_init__(self):

@@ -22,7 +22,15 @@ import numpy as np
 from . import data as data_mod
 from . import estimators as est_mod
 from .poly import Polynomial, objective_values
-from .sip import IntervalSpec, SipProblem, build_grid, localized_interval, solve
+from .sip import (
+    IntervalSpec,
+    NonConvergenceError,
+    RankDeficiencyError,
+    SipProblem,
+    build_grid,
+    localized_interval,
+    solve,
+)
 
 
 def _fmt(x: float) -> str:
@@ -212,7 +220,9 @@ def evaluate_risk(
             start = time.perf_counter()
             try:
                 values = np.array(_cell_estimates(spec, dist, n, fps, cache))
-            except Exception as exc:  # keep the sweep alive, mark the row
+            except (NonConvergenceError, RankDeficiencyError, ValueError) as exc:
+                # a typed numerical or input failure marks the row and the sweep
+                # goes on; any other exception is a bug and propagates
                 rows.append(
                     RiskRow(
                         spec.kind, dist.label, n, trials,

@@ -47,32 +47,6 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class ObjectiveParams:
-    """Regularizer weight (1/k, 1/S_c or 0) and a single Poisson rate."""
-
-    reg_weight: float
-    lam: float
-
-    def __post_init__(self):
-        if not (self.reg_weight >= 0.0):
-            raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
-        if not (self.lam > 0.0):
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
-
-
-def cheb_t(degree: int, x: float) -> float:
-    """First-kind Chebyshev polynomial T_degree(x) via the three-term recurrence."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for _ in range(degree - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
 def shifted_cheb_coeffs(degree: int, lo: float, hi: float) -> Polynomial:
     """Monomial coefficients of -T_L((2x-hi-lo)/(hi-lo)) / T_L((-hi-lo)/(hi-lo)).
 
@@ -102,36 +76,8 @@ def shifted_cheb_coeffs(degree: int, lo: float, hi: float) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def poly_eval(p: Polynomial, x: float) -> float:
-    """Evaluate sum_l a_l x^l by Horner's scheme."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _log_factorials(degree: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, degree + 1)))))
-
-
-def objective_g(p: Polynomial, params: ObjectiveParams) -> tuple[float, float, float]:
-    """Return (variance_term, bias, g) of the estimator polynomial at one rate.
-
-    bias = exp(-lam) * P(lam, a); variance_term is the weighted sum of
-    exp(-lam) a_l^2 lam^l l!, each summand exponentiated from the log domain.
-    """
-    lam = params.lam
-    log_lam = math.log(lam)
-    log_fact = 0.0
-    var = 0.0
-    for ell, a in enumerate(p.coeffs):
-        if ell > 0:
-            log_fact += math.log(ell)
-        if a != 0.0:
-            var += a * a * math.exp(ell * log_lam + log_fact - lam)
-    var *= params.reg_weight
-    bias = math.exp(-lam) * poly_eval(p, lam)
-    return var, bias, var + bias * bias
 
 
 def objective_values(
@@ -141,6 +87,8 @@ def objective_values(
     lams = np.asarray(lams, dtype=float)
     if np.any(lams <= 0.0):
         raise ValueError("all rates must be positive")
+    if not reg_weight >= 0.0:
+        raise ValueError(f"reg_weight must be >= 0, got {reg_weight}")
     coeffs = np.asarray(p.coeffs)
     degree = len(coeffs) - 1
     log_lam = np.log(lams)

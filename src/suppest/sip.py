@@ -2,29 +2,36 @@
 
 The continuous problem is min over a (a_0 = -1) of the sup over an interval of
 rates of g(a, lambda).  We localize the interval, replace it with a uniform
-grid, and solve the resulting finite minimax
+grid, and solve the resulting finite minimax in the free coordinates
+b = a_1..a_L,
 
-    min_a  max_i  h_i(a),   h_i(a) = a^T (M(lam_i) + Lam_i Lam_i^T) a
+    min_{b, t}  t   subject to   h_i(b) <= t,
+    h_i(b) = (V_i b - v0_i)^2 + M_i . b^2 + m0_i   (squared bias + variance),
 
-by entropic mirror ascent on the dual simplex weights with an exact inner
-minimization (a dense positive-definite solve in the L free coordinates),
-periodically accelerated by a Newton step on the active set.  Every iterate
-yields a primal/dual pair and hence a true duality-gap certificate: for any
-simplex weights w, q(w) = min_a sum_i w_i h_i(a) lower-bounds the optimum.
+a convex program with L + 1 variables, by a Mehrotra predictor-corrector
+primal-dual interior-point method.  Each Newton system is (L+1) x (L+1),
+assembled in O(s L^2).  Every iterate yields a primal/dual pair and hence a
+true duality-gap certificate: for any simplex weights w,
+q(w) = min_b sum_i w_i h_i(b) lower-bounds the optimum, and it is evaluated
+through a Householder QR least-squares residual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, objective_values
+from .poly import Polynomial, _log_factorials, objective_values
 
 # Beyond lambda = 6.5 * L the objective decreases in lambda for every
 # degree-L coefficient vector, so the optimization interval can stop there.
 LOCALIZATION_FACTOR = 6.5
+
+# Interior-point iteration budget: four times the most (25) that any cell of
+# the supported domain needs.
+MAX_ITER = 100
 
 
 class InvalidGridError(ValueError):
@@ -34,8 +41,12 @@ class InvalidGridError(ValueError):
 class RankDeficiencyError(RuntimeError):
     """Aggregate matrix is not numerically positive definite.
 
-    Unregularized problems hit this on too coarse a grid; regularized ones
-    when the variance weight is too small to lift it, as at k = 1e20.
+    The aggregate matrix sum_i w_i (V_i V_i^T + diag M_i) of the dual weights,
+    equilibrated on its diagonal, must admit a Cholesky factorization, or
+    the minimizer b*(w) is not determined in double precision.  Unregularized
+    problems hit this on too coarse a grid; regularized ones from about
+    k = 1e17 (L >= 21), where the monomial columns become numerically
+    dependent and the variance weight 1/k is too small to lift them.
     """
 
 
@@ -143,212 +154,125 @@ def build_grid(interval: IntervalSpec, s: int) -> GridSpec:
 
 
 class _QuadData:
-    """Per-grid-point quadratic forms of the free coordinates b = a_1..a_L.
+    """Per-grid-point data of the constraint functions of b = a_1..a_L.
 
-    Internally the variables are rescaled, b_l -> b_l * mu^l with mu half the
-    right endpoint, which keeps the Vandermonde-like blocks well conditioned.
-    h_i(b) = b^T Q_i b - 2 c_i^T b + r_i in the scaled variables.
+    h_i(b) = (V_i b - v0_i)^2 + M_i . b^2 + m0_i: the squared bias plus the
+    variance term at rate lam_i.  The variables are rescaled, b_l -> b_l mu^l
+    with mu half the right endpoint, which keeps the Vandermonde-like columns
+    of V well conditioned.
     """
 
     def __init__(self, problem: SipProblem):
         lams = problem.grid.points
         degree = problem.degree
         self.degree = degree
-        self.s = len(lams)
         self.mu = max(problem.grid.interval.hi / 2.0, problem.grid.interval.lo)
         ells = np.arange(degree + 1)
         log_lam = np.log(lams)
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, degree + 1))))) if degree else np.array([0.0])
         log_mu = math.log(self.mu)
         # scaled exp(-lam) * (lam/mu)^l
         v = np.exp(np.outer(log_lam - log_mu, ells) - lams[:, None])
         # scaled variance diagonal: reg * exp(-lam) * lam^l l! / mu^(2l)
         m = problem.reg_weight * np.exp(
-            np.outer(log_lam - 2.0 * log_mu, ells) + log_fact - lams[:, None]
+            np.outer(log_lam - 2.0 * log_mu, ells) + _log_factorials(degree) - lams[:, None]
         )
-        self.r = m[:, 0] + v[:, 0] ** 2
-        if degree == 0:
-            self.Q = np.zeros((len(lams), 0, 0))
-            self.c = np.zeros((len(lams), 0))
-        else:
-            vb = v[:, 1:]
-            self.Q = vb[:, :, None] * vb[:, None, :]
-            idx = np.arange(degree)
-            self.Q[:, idx, idx] += m[:, 1:]
-            self.c = v[:, 0:1] * vb
+        self.v0, self.V = v[:, 0], v[:, 1:]
+        self.m0, self.M = m[:, 0], m[:, 1:]
 
-    def aggregate(self, w: np.ndarray):
-        qbar = np.tensordot(w, self.Q, axes=1)
-        cbar = w @ self.c
-        rbar = float(w @ self.r)
-        return qbar, cbar, rbar
-
-    def h_all(self, b: np.ndarray) -> np.ndarray:
-        if self.degree == 0:
-            return self.r.copy()
-        qb = self.Q @ b
-        return qb @ b - 2.0 * (self.c @ b) + self.r
-
-    def h_all_at(self, b: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if self.degree == 0:
-            return self.r[idx].copy()
-        qb = self.Q[idx] @ b
-        return qb @ b - 2.0 * (self.c[idx] @ b) + self.r[idx]
+    def values(self, b: np.ndarray):
+        """Constraint values h and bias residuals V b - v0 at b."""
+        res = self.V @ b - self.v0
+        return res * res + self.M @ (b * b) + self.m0, res
 
     def unscale(self, b: np.ndarray) -> Polynomial:
-        coeffs = np.empty(self.degree + 1)
-        coeffs[0] = -1.0
-        if self.degree:
-            coeffs[1:] = b / self.mu ** np.arange(1, self.degree + 1)
-        return Polynomial(tuple(coeffs))
+        return Polynomial((-1.0, *(b / self.mu ** np.arange(1, self.degree + 1))))
 
 
 def _dual_solve(data: _QuadData, w: np.ndarray):
-    """Exact inner minimization: b*(w) and the dual value q(w)."""
-    qbar, cbar, rbar = data.aggregate(w)
-    if data.degree == 0:
-        return np.zeros(0), rbar
+    """Exact inner minimization: b*(w) and the dual value q(w).
+
+    q(w) - w.m0 is the least-squares residual of A b ~ y with
+    A = [sqrt(w) V; diag(sqrt(M^T w))] and y = [sqrt(w) v0; 0].  A Householder
+    QR of [A y] leaves the residual norm in its last diagonal entry, without
+    forming the normal equations (which lose digits at large L) and without
+    a rank truncation (which would overstate q).  The aggregate matrix A^T A,
+    equilibrated on its diagonal, must still admit a Cholesky factorization:
+    otherwise b*(w) is not determined in double precision.
+    """
+    degree = data.degree
+    s = len(w)
+    sw = np.sqrt(w)
+    aug = np.zeros((s + degree, degree + 1))
+    aug[:s, :degree] = sw[:, None] * data.V
+    aug[:s, degree] = sw * data.v0
+    aug[np.arange(s, s + degree), np.arange(degree)] = np.sqrt(w @ data.M)
+    r = np.linalg.qr(aug, mode="r")
+    r_a = r[:degree, :degree]
+    scaled = r_a / np.linalg.norm(r_a, axis=0)
     try:
-        ch = np.linalg.cholesky(qbar)
+        np.linalg.cholesky(scaled.T @ scaled)
+        b = np.linalg.solve(r_a, r[:degree, degree])
     except np.linalg.LinAlgError:
         raise RankDeficiencyError(
             "aggregate matrix is not numerically positive definite; "
             "increase the grid size or use a smaller k"
         ) from None
-    y = np.linalg.solve(ch, cbar)
-    b = np.linalg.solve(ch.T, y)
-    return b, rbar - float(cbar @ b)
+    return b, float(r[degree, degree] ** 2 + w @ data.m0)
 
 
-def _peak_indices(h: np.ndarray, limit: int) -> np.ndarray:
-    """Local maxima of the constraint values (endpoints included), strongest
-    first; these are the candidate active points of the minimax."""
-    if len(h) <= 2:
-        return np.argsort(h)[::-1]
-    interior = np.flatnonzero((h[1:-1] >= h[:-2]) & (h[1:-1] >= h[2:])) + 1
-    peaks = np.unique(np.concatenate(([0, len(h) - 1], interior)))
-    order = np.argsort(h[peaks])[::-1]
-    return peaks[order][:limit]
+def _newton_factor(data: _QuadData, b, res, z, slack):
+    """Gradients of the h_i at b and R with R^T R the Newton matrix in (b, t).
 
-
-def _face_newton(data, cand, ws, tol, max_rounds=60):
-    """Maximize the dual restricted to the face spanned by `cand`.
-
-    Newton on the stationarity system (equal h_i across the support plus the
-    simplex constraint), globalized by a backtracking line search on the dual
-    value; quadratically convergent near the face optimum.  Returns
-    (w_full, rounds) for the best weights found, or (None, rounds).
+    The matrix is 2 sum_i z_i (V_i V_i^T + diag M_i) + sum_i (z_i/slack_i)
+    a_i a_i^T with a_i = (grad h_i, -1), i.e. B^T B for the stacked rows of
+    B below; a QR of B gives its factor without squaring its condition.
     """
-    s = data.s
-    cand = np.asarray(cand, dtype=int)
-    ws = np.maximum(np.asarray(ws, dtype=float), 1e-16)
-    ws = ws / ws.sum()
+    degree = data.degree
+    s = len(z)
+    grad = 2.0 * (res[:, None] * data.V + data.M * b)
+    sd = np.sqrt(z / slack)
+    rows = np.zeros((2 * s + degree, degree + 1))
+    rows[:s, :degree] = np.sqrt(2.0 * z)[:, None] * data.V
+    rows[np.arange(s, s + degree), np.arange(degree)] = np.sqrt(2.0 * (z @ data.M))
+    rows[s + degree :, :degree] = sd[:, None] * grad
+    rows[s + degree :, degree] = -sd
+    return grad, np.linalg.qr(rows, mode="r")
 
-    def full(weights, idx):
-        w = np.zeros(s)
-        w[idx] = weights
-        return w
 
-    try:
-        _, q = _dual_solve(data, full(ws, cand))
-    except RankDeficiencyError:
-        return None, 1
-    rounds = 1
-    for _ in range(max_rounds):
-        wfull = full(ws, cand)
-        try:
-            b, q = _dual_solve(data, wfull)
-        except RankDeficiencyError:
-            return None, rounds
-        hs = data.h_all_at(b, cand)
-        t_est = float(ws @ hs)
-        resid = float(np.max(np.abs(hs - t_est)))
-        if resid <= max(1e-16 * max(abs(t_est), 1.0), 1e-3 * tol):
-            return wfull, rounds
-        # prune candidates pinned at zero that want to stay below the max
-        keep = (ws > 1e-14) | (hs >= t_est - 1e-12 * max(abs(t_est), 1.0))
-        if not keep.all() and keep.sum() >= 1:
-            cand, ws = cand[keep], ws[keep]
-            ws = ws / ws.sum()
-            continue
-        m = len(cand)
-        if m == 1:
-            return wfull, rounds
-        # Jacobian of h_i(b*(w)) wrt w_j is -2 g_i^T Qbar^{-1} g_j
-        qbar, _, _ = data.aggregate(wfull)
-        g = data.Q[cand] @ b - data.c[cand]
-        try:
-            x = np.linalg.solve(qbar, g.T)
-        except np.linalg.LinAlgError:
-            return None, rounds
-        jac = -2.0 * g @ x
-        # Levenberg-style damping: escalates when near-coincident candidates
-        # make the Newton system ill conditioned
-        damping = 0.0
-        damping_unit = max(float(np.abs(jac).max()), 1e-300)
-        accepted = False
-        for _ in range(10):
-            kkt = np.zeros((m + 1, m + 1))
-            kkt[:m, :m] = jac - damping * np.eye(m)
-            kkt[:m, m] = -1.0
-            kkt[m, :m] = 1.0
-            rhs = np.concatenate([t_est - hs, [0.0]])
-            try:
-                dw = np.linalg.solve(kkt, rhs)[:m]
-            except np.linalg.LinAlgError:
-                dw = None
-            if dw is not None and np.all(np.isfinite(dw)):
-                alpha = 1.0
-                scale = max(abs(q), 1.0)
-                for _ in range(40):
-                    trial = np.maximum(ws + alpha * dw, 0.0)
-                    total = trial.sum()
-                    if total > 0:
-                        trial = trial / total
-                        rounds += 1
-                        try:
-                            b_try, q_try = _dual_solve(data, full(trial, cand))
-                        except RankDeficiencyError:
-                            q_try = -np.inf
-                        # take the step on clear dual progress, or near the
-                        # optimum (dual increments below double precision) on
-                        # residual progress, which is what the primal needs
-                        if q_try > q + 1e-15 * scale:
-                            ws = trial
-                            accepted = True
-                            break
-                        if q_try >= q - 1e-14 * scale:
-                            hs_try = data.h_all_at(b_try, cand)
-                            t_try = float(trial @ hs_try)
-                            if float(np.max(np.abs(hs_try - t_try))) < 0.9 * resid:
-                                ws = trial
-                                accepted = True
-                                break
-                    alpha *= 0.5
-            if accepted:
-                break
-            damping = damping_unit * 1e-8 if damping == 0.0 else damping * 100.0
-        if not accepted:
-            return full(ws, cand), rounds
-    return full(ws, cand), rounds
+def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveResult:
+    coeffs = data.unscale(b)
+    # report the primal value through the same evaluation path callers use
+    t_d = float(objective_values(coeffs, problem.grid.points, problem.reg_weight)[2].max())
+    return SolveResult(coeffs, t_d, max(t_d - q, 0.0), iterations, w)
 
 
 def solve(
     problem: SipProblem,
     tol: float = 1e-8,
-    max_iter: int = 200_000,
+    max_iter: int = MAX_ITER,
     init_weights: np.ndarray | None = None,
 ) -> SolveResult:
     """Minimize the grid maximum of g with a certified duality gap <= tol.
 
-    `init_weights` seeds the dual simplex iterate (uniform when omitted); the
-    optimum is unique, so different initializations agree to solver accuracy.
+    Mehrotra predictor-corrector on min t s.t. h_i(b) + slack_i = t, slack,
+    z >= 0; `max_iter` bounds its iterations.  Every iterate's duals, scaled
+    to the simplex, give an exact lower bound q(w), so the result's
+    duality_gap = t_d - q(w) is a true certificate.  `init_weights` seeds the
+    duals (uniform when omitted); the optimum is unique, so different
+    initializations agree to solver accuracy.
+
+    Supported domain (default grid s = 1000, tol = 1e-8, c0 = 0.558): every
+    k in {1e2, 1e4, 1e6, 1e9, 1e12} with n/k in {1e-6, 1e-3, 0.1, 1, 10}, and
+    k = 1e15 with n/k in {1, 10}, certifies for the rwc and rwc-s weights.
+    From k = 1e15 an rwc cell with n/k <= 1e-3 can end in NonConvergenceError,
+    because the grid maximum of the monomial coefficients is only resolved to
+    about tol there; from k = 1e17 (L >= 21) the equilibrated aggregate matrix
+    is numerically singular and the call raises RankDeficiencyError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     data = _QuadData(problem)
     s = problem.grid.s
-    unreg = problem.reg_weight == 0.0
 
     if init_weights is None:
         w = np.full(s, 1.0 / s)
@@ -356,100 +280,77 @@ def solve(
         w = np.asarray(init_weights, dtype=float)
         if w.shape != (s,) or np.any(w < 0) or w.sum() <= 0:
             raise ValueError("init_weights must be a nonnegative vector over the grid")
-        w = w / w.sum()
-        if unreg:
-            # keep enough support for the rank-L aggregate to stay invertible
-            w = 0.999 * w + 0.001 / s
+        # the interior-point duals must start strictly positive
+        w = 0.999 * (w / w.sum()) + 0.001 / s
 
     if problem.degree == 0:
         # no free variables: the maximum sits at a single grid point
-        i = int(np.argmax(data.r))
+        h = data.m0 + data.v0**2
+        i = int(np.argmax(h))
         dual = np.zeros(s)
         dual[i] = 1.0
-        return SolveResult(Polynomial((-1.0,)), float(data.r[i]), 0.0, 0, dual)
+        return SolveResult(Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual)
 
-    def evaluate(wvec):
-        b, q = _dual_solve(data, wvec)
-        h = data.h_all(b)
-        return b, q, h, float(h.max())
-
-    b, q, h, primal = evaluate(w)
-    best = (primal - q, b, w.copy(), primal)
-    eta = 1.0 / max(primal - float(h.min()), 1e-300)
+    degree = problem.degree
+    b, q = _dual_solve(data, w)
+    h, res = data.values(b)
+    z = w
+    t = 2.0 * float(h.max()) - q  # max h plus the gap of the start
+    slack = t - h
+    best = None
     iterations = 0
-    stalled = 0
-
-    while iterations < max_iter and best[0] > tol:
-        # exchange step: Newton ascent of the dual on the face spanned by the
-        # current support plus the peaks of the constraint values
-        support = np.argsort(w)[::-1][: problem.degree + 1]
-        support = support[w[support] > 1e-9]
-        cand = np.unique(np.concatenate([_peak_indices(h, problem.degree + 1), support]))
-        wn, rounds = _face_newton(data, cand, np.maximum(w[cand], 1e-12), tol)
-        iterations += rounds
-        improved = False
-        if wn is not None:
-            if unreg:
-                # keep full support so the aggregate matrix stays invertible
-                wn = (1.0 - 1e-12) * wn + 1e-12 / s
-            try:
-                bn, qn, hn, pn = evaluate(wn)
-            except RankDeficiencyError:
-                bn = None
-            if bn is not None:
-                if pn - qn < best[0]:
-                    best = (pn - qn, bn, wn.copy(), pn)
-                if qn > q:
-                    w, b, q, h, primal = wn, bn, qn, hn, pn
-                    improved = True
-        if best[0] <= tol:
+    while True:
+        gap = float(h.max()) - q
+        if gap <= tol:
+            result = _result(data, problem, b, w, q, iterations)
+            if result.duality_gap <= tol:
+                return result
+        if best is None or gap < best[0]:
+            best = (gap, b, w, q)
+        if iterations == max_iter:
             break
-        stalled = 0 if improved else stalled + 1
-        if stalled > 40:
-            break
-        # a few entropic mirror ascent steps to move the active face
-        for _ in range(5):
-            if best[0] <= tol or iterations >= max_iter:
-                break
-            iterations += 1
-            stepped = False
-            for _ in range(60):
-                wn = w * np.exp(np.clip(eta * (h - primal), -700.0, 0.0))
-                if unreg:
-                    wn = np.maximum(wn, 1e-250)
-                total = wn.sum()
-                if not np.isfinite(total) or total <= 0:
-                    eta *= 0.5
-                    continue
-                wn /= total
-                try:
-                    bn, qn, hn, pn = evaluate(wn)
-                except RankDeficiencyError:
-                    eta *= 0.5
-                    continue
-                if pn - qn < best[0]:
-                    best = (pn - qn, bn, wn.copy(), pn)
-                if qn >= q - 1e-18 * max(abs(q), 1.0):
-                    w, b, q, h, primal = wn, bn, qn, hn, pn
-                    eta *= 1.2
-                    stepped = True
-                    break
-                eta *= 0.5
-            if not stepped:
-                break
+        iterations += 1
 
-    gap, b_best, w_best, _ = best
-    coeffs = data.unscale(b_best)
-    # report the primal value through the same evaluation path callers use
-    t_d = float(objective_values(coeffs, problem.grid.points, problem.reg_weight)[2].max())
-    gap = max(t_d - (_dual_solve(data, w_best)[1]), 0.0)
-    result = SolveResult(coeffs, t_d, gap, iterations, w_best)
-    if gap > tol:
-        raise NonConvergenceError(
-            f"duality gap {gap:.3e} above tolerance {tol:.3e} after {iterations} iterations",
-            best=result,
-        )
-    return result
+        grad, r_fac = _newton_factor(data, b, res, z, slack)
+        d = z / slack
+        r_x = np.append(z @ grad, 1.0 - z.sum())  # stationarity in (b, t)
+        r_p = h - t + slack  # primal residual
+
+        def newton(r_c):
+            """Step for the complementarity target slack_i dz_i + z_i dslack_i = r_c_i."""
+            e = d * r_p + r_c / slack
+            rhs = -(r_x + np.append(e @ grad, -e.sum()))
+            # R is nonsingular: its b columns contain sqrt(2 z) V, whose full
+            # rank _dual_solve has just checked, and the t column is -sqrt(d)
+            dx = np.linalg.solve(r_fac, np.linalg.solve(r_fac.T, rhs))
+            dz = d * (grad @ dx[:degree] - dx[degree]) + e
+            return dx, dz, (r_c - slack * dz) / z
+
+        def max_step(dz, dslack):
+            """Largest step in (0, 1] keeping z and slack nonnegative."""
+            return 1.0 / max(1.0, float(np.max(-dz / z)), float(np.max(-dslack / slack)))
+
+        mu = float(z @ slack) / s
+        dx, dz, dslack = newton(-z * slack)  # predictor: affine scaling
+        alpha = max_step(dz, dslack)
+        mu_aff = float((z + alpha * dz) @ (slack + alpha * dslack)) / s
+        sigma = (mu_aff / mu) ** 3
+        dx, dz, dslack = newton(sigma * mu - z * slack - dz * dslack)  # corrector
+        alpha = 0.99 * max_step(dz, dslack)
+        b = b + alpha * dx[:degree]
+        t += alpha * dx[degree]
+        z = z + alpha * dz
+        slack = slack + alpha * dslack
+        h, res = data.values(b)
+        w = z / z.sum()
+        q = _dual_solve(data, w)[1]
+
+    _, b, w, q = best
+    result = _result(data, problem, b, w, q, iterations)
+    raise NonConvergenceError(
+        f"duality gap {result.duality_gap:.3e} above tolerance {tol:.3e} after {iterations} iterations",
+        best=result,
+    )
 
 
 def certify(result: SolveResult, problem: SipProblem, oversample: int) -> float:

@@ -76,3 +76,63 @@ def good_turing_exact(h: dict, n: int) -> Fraction:
     s_c = sum(h.values())
     h1 = h.get(1, 0)
     return Fraction(s_c) / (1 - Fraction(h1, n))
+
+
+def variance_sum_exact(coeffs, lam: Fraction) -> Fraction:
+    """sum_l a_l^2 lam^l l!: the variance term without its reg * exp(-lam) factor."""
+    total, power, fact = Fraction(0), Fraction(1), 1
+    for ell, a in enumerate(coeffs):
+        if ell:
+            power *= lam
+            fact *= ell
+        total += Fraction(a) ** 2 * power * fact
+    return total
+
+
+def _common_denominator(values):
+    """Integers n_i and one D with values[i] == n_i / D.
+
+    Every float is a dyadic rational, so D is a power of two and the sums
+    below run over plain integers instead of reduced fractions.
+    """
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def dual_value_exact(V, v0, M, m0, w) -> Fraction:
+    """q(w) = min_b sum_i w_i [(V_i b - v0_i)^2 + M_i . b^2 + m0_i], exactly.
+
+    The float inputs are read as the exact rationals they represent; b solves
+    the normal equations G b = c, G = V^T W V + diag(M^T w), c = V^T W v0, by
+    Gaussian elimination over fractions, and q = w.(v0^2 + m0) - c.b.
+    """
+    s, degree = len(w), len(V[0])
+    wn, dw = _common_denominator(w)
+    vn, dv = _common_denominator([x for row in V for x in row])
+    mn, dm = _common_denominator([x for row in M for x in row])
+    v0n, dv0 = _common_denominator(v0)
+    m0n, dm0 = _common_denominator(m0)
+    rows = [vn[i * degree : (i + 1) * degree] for i in range(s)]
+    g = [[Fraction(0)] * degree for _ in range(degree)]
+    c = [Fraction(0)] * degree
+    for l in range(degree):
+        for j in range(l, degree):
+            total = sum(wn[i] * rows[i][l] * rows[i][j] for i in range(s))
+            g[l][j] = g[j][l] = Fraction(total, dw * dv * dv)
+        g[l][l] += Fraction(sum(wn[i] * mn[i * degree + l] for i in range(s)), dw * dm)
+        c[l] = Fraction(sum(wn[i] * rows[i][l] * v0n[i] for i in range(s)), dw * dv * dv0)
+    const = Fraction(sum(wn[i] * v0n[i] * v0n[i] for i in range(s)), dw * dv0 * dv0)
+    const += Fraction(sum(wn[i] * m0n[i] for i in range(s)), dw * dm0)
+    # elimination on [G | c]; G is positive definite, so no pivoting is needed
+    aug = [g[l][:] + [c[l]] for l in range(degree)]
+    for col in range(degree):
+        for row in range(col + 1, degree):
+            factor = aug[row][col] / aug[col][col]
+            for j in range(col, degree + 1):
+                aug[row][j] -= factor * aug[col][j]
+    b = [Fraction(0)] * degree
+    for row in reversed(range(degree)):
+        acc = aug[row][degree] - sum(aug[row][j] * b[j] for j in range(row + 1, degree))
+        b[row] = acc / aug[row][row]
+    return const - sum(cl * bl for cl, bl in zip(c, b))

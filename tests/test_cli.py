@@ -99,6 +99,12 @@ class TestCoeffs:
         assert "numerical failure" in err
         assert "positive definite" in err
 
+    def test_outside_supported_domain_exit_2(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--k", "1e18", "--n", "1e18")
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err
+
 
 class TestSimulate:
     ARGS = (

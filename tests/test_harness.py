@@ -112,6 +112,16 @@ class TestEvaluateRisk:
         with pytest.raises(ValueError):
             report.worst_case("gt")
 
+    def test_solver_bug_propagates(self, monkeypatch):
+        # only typed numerical and input failures become error rows
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(harness.est_mod, "solve", broken)
+        dist = make_distribution("uniform", 1e-2)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            evaluate_risk([EstimatorSpec("rwc", s=50)], [dist], [50], trials=1, seed=0)
+
     def test_runtime_kept_out_of_csv(self):
         dist = make_distribution("uniform", 1e-2)
         report = evaluate_risk([EstimatorSpec("naive")], [dist], [10], trials=1, seed=0)

@@ -8,37 +8,54 @@ from hypothesis import given, strategies as st
 from suppest.poly import (
     InvalidEstimatorError,
     InvalidIntervalError,
-    ObjectiveParams,
     Polynomial,
-    cheb_t,
     g_values,
-    objective_g,
     objective_values,
-    poly_eval,
     shifted_cheb_coeffs,
 )
-from _rational import poly_eval_exact, shifted_cheb_exact
+from _rational import poly_eval_exact, shifted_cheb_exact, variance_sum_exact
+
+
+def _poly_at(p, lams):
+    """P(lam) through the vectorized path: objective_values' bias is exp(-lam) P(lam)."""
+    lams = np.asarray(lams, dtype=float)
+    return objective_values(p, lams, 0.0)[1] * np.exp(lams)
+
+
+def _cheb_t(degree, xs):
+    """T_degree(x) from shifted_cheb_coeffs on [1, 3], where x = lam - 2.
+
+    The normalized polynomial is P(lam) = -T_L(x) / T_L(x(0)) and T_L(1) = 1,
+    so T_L(x) = P(lam) / P(3).
+    """
+    p = shifted_cheb_coeffs(degree, 1.0, 3.0)
+    lams = np.asarray(xs, dtype=float) + 2.0
+    return _poly_at(p, lams) / _poly_at(p, [3.0])[0]
 
 
 class TestChebT:
     def test_degree_zero(self):
-        assert cheb_t(0, 0.7) == 1.0
+        # -T_0 / T_0(x(0)) is the pure-counting constant -1: bias -exp(-lam)
+        lams = np.array([0.5, 1.0, 7.0])
+        assert np.array_equal(objective_values(Polynomial((-1.0,)), lams, 0.0)[1], -np.exp(-lams))
 
     def test_degree_two(self):
-        assert cheb_t(2, 0.5) == pytest.approx(-0.5, abs=1e-15)
+        assert _cheb_t(2, [0.5])[0] == pytest.approx(-0.5, rel=1e-14)
 
     def test_degree_three_outside(self):
-        assert cheb_t(3, 2.0) == pytest.approx(26.0, abs=1e-12)
+        assert _cheb_t(3, [2.0])[0] == pytest.approx(26.0, abs=1e-12)
 
     def test_bounded_on_unit_interval(self):
+        # monomial coefficients on [1, 3] cancel in the Horner sum beyond
+        # degree 7 (|T_8| already reads 1 + 1.5e-9), so the bound stops there
         xs = np.linspace(-1.0, 1.0, 201)
-        for degree in range(31):
-            for x in xs:
-                assert abs(cheb_t(degree, x)) <= 1.0 + 1e-12
+        for degree in range(1, 8):
+            assert np.all(np.abs(_cheb_t(degree, xs)) <= 1.0 + 1e-12)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            cheb_t(-1, 0.0)
+        for degree in (-1, 0):
+            with pytest.raises(ValueError):
+                shifted_cheb_coeffs(degree, 1.0, 3.0)
 
 
 class TestShiftedChebCoeffs:
@@ -54,7 +71,7 @@ class TestShiftedChebCoeffs:
         for degree in (1, 3, 7, 12):
             p = shifted_cheb_coeffs(degree, 0.3, 11.0)
             assert p.coeffs[0] == -1.0
-            assert poly_eval(p, 0.0) == -1.0
+            assert _poly_at(p, [1e-300])[0] == -1.0
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InvalidIntervalError):
@@ -76,46 +93,48 @@ class TestShiftedChebCoeffs:
 
 class TestPolyEval:
     def test_constant_term(self):
-        assert poly_eval(Polynomial((-1.0, 0.5)), 0.0) == -1.0
+        assert _poly_at(Polynomial((-1.0, 0.5)), [1e-300])[0] == -1.0
 
     def test_linear(self):
-        assert poly_eval(Polynomial((-1.0, 0.5)), 4.0) == 1.0
+        assert _poly_at(Polynomial((-1.0, 0.5)), [4.0])[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_quadratic(self):
         p = Polynomial((-1.0, 8 / 7, -2 / 7))
-        assert poly_eval(p, 2.0) == pytest.approx(1 / 7, rel=1e-14)
+        assert _poly_at(p, [2.0])[0] == pytest.approx(1 / 7, rel=1e-14)
 
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=8),
-        st.floats(-3, 3),
+        st.floats(1e-3, 3),
     )
     def test_matches_rational_horner(self, coeffs, x):
-        got = poly_eval(Polynomial(tuple(coeffs)), x)
+        got = _poly_at(Polynomial(tuple(coeffs)), [x])[0]
         want = float(poly_eval_exact([Fraction(c) for c in coeffs], Fraction(x)))
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # Horner's rounding error is relative to sum |a_l| x^l, not to |P(x)|
+        scale = sum(abs(c) * x**l for l, c in enumerate(coeffs))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * max(scale, 1.0))
 
 
 class TestObjectiveG:
     def test_pure_counting_value(self):
-        var, bias, g = objective_g(Polynomial((-1.0,)), ObjectiveParams(0.1, 1.0))
-        assert var == pytest.approx(0.1 * math.exp(-1.0), rel=1e-14)
-        assert bias == pytest.approx(-math.exp(-1.0), rel=1e-14)
-        assert g == pytest.approx(0.172123, abs=1e-6)
+        var, bias, g = objective_values(Polynomial((-1.0,)), np.array([1.0]), 0.1)
+        assert var[0] == pytest.approx(0.1 * math.exp(-1.0), rel=1e-14)
+        assert bias[0] == pytest.approx(-math.exp(-1.0), rel=1e-14)
+        assert g[0] == pytest.approx(0.172123, abs=1e-6)
 
     def test_zero_bias_at_root(self):
-        var, bias, g = objective_g(Polynomial((-1.0, 1.0)), ObjectiveParams(0.0, 1.0))
-        assert bias == 0.0
-        assert g == 0.0
+        var, bias, g = objective_values(Polynomial((-1.0, 1.0)), np.array([1.0]), 0.0)
+        assert bias[0] == 0.0
+        assert g[0] == 0.0
 
     def test_large_rate_no_overflow(self):
-        var, bias, g = objective_g(Polynomial((-1.0,)), ObjectiveParams(5.0, 700.0))
-        assert math.isfinite(g) and 0.0 <= g < 1e-290
+        var, bias, g = objective_values(Polynomial((-1.0,)), np.array([700.0]), 5.0)
+        assert math.isfinite(g[0]) and 0.0 <= g[0] < 1e-290
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            ObjectiveParams(0.1, 0.0)
+            objective_values(Polynomial((-1.0,)), np.array([0.0]), 0.1)
         with pytest.raises(ValueError):
-            ObjectiveParams(-0.1, 1.0)
+            objective_values(Polynomial((-1.0,)), np.array([1.0]), -0.1)
 
     @given(
         st.lists(st.floats(-2, 2), min_size=1, max_size=6),
@@ -124,19 +143,23 @@ class TestObjectiveG:
     )
     def test_decomposition_identity(self, tail, lam, w):
         p = Polynomial((-1.0, *tail))
-        var, bias, g = objective_g(p, ObjectiveParams(w, lam))
-        assert var >= 0.0
-        assert g == pytest.approx(var + bias * bias, rel=1e-15, abs=1e-300)
+        var, bias, g = objective_values(p, np.array([lam]), w)
+        assert var[0] >= 0.0
+        assert g[0] == pytest.approx(var[0] + bias[0] * bias[0], rel=1e-15, abs=1e-300)
 
     def test_vectorized_matches_scalar(self):
+        # reference: the rational parts exactly, times the float exp(-lam)
         p = Polynomial((-1.0, 0.7, -0.2, 0.01))
         lams = np.linspace(0.5, 40.0, 57)
         var_v, bias_v, g_v = objective_values(p, lams, 1e-4)
+        exact = [Fraction(c) for c in p.coeffs]
         for i, lam in enumerate(lams):
-            var, bias, g = objective_g(p, ObjectiveParams(1e-4, float(lam)))
+            decay = math.exp(-lam)
+            var = 1e-4 * decay * float(variance_sum_exact(exact, Fraction(lam)))
+            bias = decay * float(poly_eval_exact(exact, Fraction(lam)))
             assert var_v[i] == pytest.approx(var, rel=1e-12)
             assert bias_v[i] == pytest.approx(bias, rel=1e-12, abs=1e-300)
-            assert g_v[i] == pytest.approx(g, rel=1e-12, abs=1e-300)
+            assert g_v[i] == pytest.approx(var + bias * bias, rel=1e-12, abs=1e-300)
 
     def test_vectorized_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,27 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from suppest.estimators import EstimatorSpec, degree_for, rwc_coefficients, rwcs_coefficients
 from suppest.poly import objective_values
 from suppest.sip import (
+    MAX_ITER,
     GridSpec,
     IntervalSpec,
     InvalidGridError,
+    NonConvergenceError,
+    RankDeficiencyError,
     SipProblem,
+    _QuadData,
     build_grid,
     certify,
     localized_interval,
     mrs_interval,
     solve,
 )
+from _rational import dual_value_exact
 
 
 class TestLocalizedInterval:
@@ -193,3 +200,60 @@ class TestLocalizationProperty:
             g = objective_values(Polynomial(coeffs), dense, 1.0 / k)[2]
             g_in = objective_values(Polynomial(coeffs), inside, 1.0 / k)[2]
             assert g.max() <= g_in.max() * (1 + 1e-10)
+
+
+def _weighted_solve(kind, k, n_over_k):
+    """(result, problem) for an rwc or rwc-s cell; rwc-s takes the expected
+    naive count k (1 - exp(-n/k)) as its count, at least 1."""
+    n = k * n_over_k
+    spec = EstimatorSpec(kind)
+    if kind == "rwc":
+        result, reg = rwc_coefficients(k, n, spec), 1.0 / k
+    else:
+        s_count = max(1, round(-k * math.expm1(-n_over_k)))
+        result, reg = rwcs_coefficients(k, n, s_count, spec), 1.0 / s_count
+    degree = degree_for(k)
+    interval = localized_interval(n, k, degree)
+    grid = build_grid(interval, 1 if interval.degenerate else spec.s)
+    return result, SipProblem(degree, grid, reg)
+
+
+DOMAIN = [(k, r) for k in (1e2, 1e4, 1e6, 1e9, 1e12) for r in (1e-6, 1e-3, 0.1, 1.0, 10.0)]
+DOMAIN += [(1e15, 1.0), (1e15, 10.0)]
+
+
+class TestSupportedDomain:
+    @pytest.mark.parametrize("k,n_over_k", DOMAIN)
+    def test_certifies_inside(self, k, n_over_k):
+        for kind in ("rwc", "rwc-s"):
+            result, problem = _weighted_solve(kind, k, n_over_k)
+            assert result.duality_gap <= 1e-8, (kind, result.duality_gap)
+            assert 0 <= result.iterations <= MAX_ITER
+            grid_max = objective_values(result.coeffs, problem.grid.points, problem.reg_weight)[2].max()
+            assert result.t_d == float(grid_max)
+
+    @pytest.mark.parametrize("k", [1e18, 1e20])
+    def test_typed_failure_outside(self, k):
+        for kind in ("rwc", "rwc-s"):
+            with pytest.raises((NonConvergenceError, RankDeficiencyError)):
+                _weighted_solve(kind, k, 1.0)
+
+
+class TestExactCertificate:
+    @pytest.mark.parametrize(
+        "kind,k,n_over_k",
+        [("rwc", 1e12, 1e-3), ("rwc-s", 1e9, 0.1), ("rwc", 1e6, 1.0)],
+    )
+    def test_gap_against_rational_dual_value(self, kind, k, n_over_k):
+        # q(dual_weights) recomputed over exact rationals from the solver's own
+        # float64 per-point data bounds the optimum from below, so t_d - q is
+        # the true gap of the returned coefficients on the grid
+        result, problem = _weighted_solve(kind, k, n_over_k)
+        data = _QuadData(problem)
+        q_exact = dual_value_exact(
+            data.V.tolist(), data.v0.tolist(), data.M.tolist(), data.m0.tolist(),
+            result.dual_weights.tolist(),
+        )
+        true_gap = Fraction(result.t_d) - q_exact
+        assert true_gap <= Fraction(1e-8)
+        assert abs(float(true_gap) - result.duality_gap) <= 1e-11
