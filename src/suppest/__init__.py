@@ -38,7 +38,6 @@ from .sip import (
     build_grid,
     certify,
     localized_interval,
-    mrs_interval,
     solve,
 )
 

@@ -78,7 +78,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-frac", default="1.0", help="comma list of sample sizes as fractions of k (default 1.0)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalization", choices=("k2", "s2"), default="k2")
     p.add_argument("--estimators", default="rwc,rwc-s,wy,gt,naive")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_solver_flags(p)
@@ -200,16 +199,8 @@ def _cmd_simulate(args) -> int:
         kind, alpha = _parse_dist(token.strip())
         dists.append(data_mod.make_distribution(kind, args.min_mass, alpha=alpha))
     specs = [_spec_from_args(args, kind.strip()) for kind in args.estimators.split(",")]
-    n_grid = [float(x) for x in args.n_frac.split(",")]
-    report = harness_mod.evaluate_risk(
-        specs,
-        dists,
-        n_grid,
-        trials=args.trials,
-        seed=args.seed,
-        normalization=args.normalization,
-        n_mode="fraction",
-    )
+    n_fracs = [float(x) for x in args.n_frac.split(",")]
+    report = harness_mod.evaluate_risk(specs, dists, n_fracs, trials=args.trials, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:

@@ -17,10 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PRNG_VERSION = "philox4x64-v1"
-
-DISTRIBUTION_KINDS = ("uniform", "zipf", "benford")
-
 _TOKEN_RE = re.compile(r"(?:[^\W_]|')+", re.UNICODE)
 
 
@@ -67,9 +63,6 @@ class Fingerprint:
     def distinct(self) -> int:
         return sum(self.h.values())
 
-    def to_lines(self):
-        return [f"{j}\t{self.h[j]}" for j in sorted(self.h)]
-
 
 def tokenize_text(data) -> list[str]:
     """Lowercase and split on anything that is not alphanumeric or apostrophe."""
@@ -115,20 +108,6 @@ def histogram_from_counts_file(source) -> Histogram:
 
 def fingerprint(hist: Histogram) -> Fingerprint:
     return Fingerprint(dict(Counter(hist.counts.values())))
-
-
-def fingerprint_from_lines(lines) -> Fingerprint:
-    h = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            j, hj = (int(x) for x in line.split("\t"))
-        except ValueError:
-            raise IngestionError(f"line {lineno}: expected `j<TAB>h_j`") from None
-        h[j] = hj
-    return Fingerprint(h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,11 +91,11 @@ def _solve_weighted(
     degree = degree_for(k, spec.c0)
     if degree < 1:
         # pure counting estimator; solve the trivial single-point instance
-        interval = IntervalSpec(n / k, n / k, degenerate=True)
+        interval = IntervalSpec(n / k, n / k)
         problem = SipProblem(0, build_grid(interval, 1), reg_weight)
     else:
         interval = localized_interval(n, k, degree)
-        grid = build_grid(interval, 1 if interval.degenerate else spec.s)
+        grid = build_grid(interval, spec.s)
         problem = SipProblem(degree, grid, reg_weight)
     return solve(problem, tol=spec.tol, max_iter=spec.max_iter, init_weights=init_weights)
 

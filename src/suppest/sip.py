@@ -62,13 +62,15 @@ class NonConvergenceError(RuntimeError):
 class IntervalSpec:
     lo: float
     hi: float
-    degenerate: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.lo <= self.hi):
             raise ValueError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
-        if self.degenerate and self.lo != self.hi:
-            raise ValueError("degenerate interval must have lo == hi")
+
+    @property
+    def degenerate(self) -> bool:
+        """A point interval, discretized by its single point."""
+        return self.lo == self.hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,28 +125,14 @@ def localized_interval(n: float, k: float, degree: int) -> IntervalSpec:
     hi = LOCALIZATION_FACTOR * degree
     if lo < hi:
         return IntervalSpec(lo, hi)
-    return IntervalSpec(lo, lo, degenerate=True)
-
-
-def mrs_interval(n: float, k: float, degree: int) -> IntervalSpec:
-    """Interval [n/k, n/k + pi L / 2] from the Mhaskar-Rakhmanov-Saff number.
-
-    Valid localization for the unregularized (pure bias) problem only.
-    """
-    if n <= 0 or k <= 0:
-        raise ValueError("n and k must be positive")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    lo = n / k
-    return IntervalSpec(lo, lo + math.pi * degree / 2.0)
+    return IntervalSpec(lo, lo)
 
 
 def build_grid(interval: IntervalSpec, s: int) -> GridSpec:
     """Uniform grid including both endpoints (boundary inclusion is required
-    for the discretization-rate guarantees to apply)."""
+    for the discretization-rate guarantees to apply); a point interval is its
+    single point, whatever s is."""
     if interval.degenerate:
-        if s != 1:
-            raise InvalidGridError("degenerate interval takes exactly one grid point")
         return GridSpec(interval, 1, np.array([interval.lo]), 0.0)
     if s < 2:
         raise InvalidGridError(f"need s >= 2 grid points, got {s}")

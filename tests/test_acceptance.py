@@ -161,13 +161,11 @@ def test_criterion_6_risk_regression():
         make_distribution("benford", 1e-4),
     ]
     specs = [EstimatorSpec(kind) for kind in ("rwc", "rwc-s", "wy", "gt", "naive")]
-    common = dict(trials=100, seed=20240101, n_mode="fraction")
-    rep_k2 = evaluate_risk(specs, suite, [1.0], normalization="k2", **common)
-    rep_s2 = evaluate_risk(specs, suite, [1.0], normalization="s2", **common)
-    rwc, wy = rep_k2.worst_case("rwc"), rep_k2.worst_case("wy")
+    report = evaluate_risk(specs, suite, [1.0], trials=100, seed=20240101)
+    rwc, wy = report.worst_case("rwc", "k2"), report.worst_case("wy", "k2")
     assert rwc < wy, f"rwc worst-case {rwc} not below wy {wy}"
-    rwcs = rep_s2.worst_case("rwc-s")
-    gt, naive = rep_s2.worst_case("gt"), rep_s2.worst_case("naive")
+    rwcs = report.worst_case("rwc-s", "s2")
+    gt, naive = report.worst_case("gt", "s2"), report.worst_case("naive", "s2")
     assert rwcs < gt, f"rwc-s worst-case {rwcs} not below gt {gt}"
     assert rwcs < naive, f"rwc-s worst-case {rwcs} not below naive {naive}"
     assert time.time() - start < 600.0

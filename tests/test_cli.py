@@ -113,20 +113,22 @@ class TestSimulate:
     )
 
     def test_deterministic_bytes(self, capsys):
-        code, out1, _ = run(capsys, *self.ARGS)
-        assert code == 0
-        code, out2, _ = run(capsys, *self.ARGS)
-        assert out1 == out2
+        for fmt in ("csv", "json"):
+            code, out1, _ = run(capsys, *self.ARGS, "--format", fmt)
+            assert code == 0
+            code, out2, _ = run(capsys, *self.ARGS, "--format", fmt)
+            assert out1 == out2, fmt
 
     def test_s2_normalization_column(self, capsys):
-        code, out, _ = run(capsys, *self.ARGS, "--normalization", "s2")
+        # zipf(1) at min-mass 1e-2 has k = 101 and S = 26: one run, both scales
+        code, out, _ = run(capsys, *self.ARGS, "--dist", "zipf:1")
         assert code == 0
         header = out.splitlines()[0].split(",")
         row = out.splitlines()[1].split(",")
-        assert row[header.index("normalization")] == "s2"
         mse = float(row[header.index("mse")])
-        norm = float(row[header.index("normalized_mse")])
-        assert norm == pytest.approx(mse / 100.0**2)
+        assert mse > 0
+        assert float(row[header.index("nmse_k2")]) == pytest.approx(mse / 101.0**2)
+        assert float(row[header.index("nmse_s2")]) == pytest.approx(mse / 26.0**2)
 
     def test_bad_distribution(self, capsys):
         code, _, err = run(capsys, "simulate", "--dist", "cauchy", "--trials", "1")

@@ -12,7 +12,6 @@ from suppest.data import (
     bundled_corpus_path,
     child_seed,
     fingerprint,
-    fingerprint_from_lines,
     histogram_from_counts_file,
     histogram_from_tokens,
     make_distribution,
@@ -81,10 +80,6 @@ class TestFingerprint:
 
     def test_single_symbol(self):
         assert fingerprint(Histogram({"x": 7})).h == {7: 1}
-
-    def test_serialization_round_trip(self):
-        fp = Fingerprint({1: 3, 4: 2})
-        assert fingerprint_from_lines(fp.to_lines()) == fp
 
     def test_invalid_entries(self):
         with pytest.raises(ValueError):

@@ -20,33 +20,37 @@ from suppest.harness import (
     grid_convergence_study,
 )
 from suppest.poly import Polynomial, objective_values
-from suppest.sip import IntervalSpec, build_grid, localized_interval
+from suppest.sip import MAX_ITER, IntervalSpec, build_grid, localized_interval
 
 
 class TestEvaluateRisk:
     def test_single_trial_mse(self):
         dist = make_distribution("uniform", 1e-2)
         spec = EstimatorSpec("naive")
-        report = evaluate_risk([spec], [dist], [50], trials=1, seed=3)
+        report = evaluate_risk([spec], [dist], [0.5], trials=1, seed=3)
         fp = sample_fingerprint(dist, 50, child_seed(3, 0, 0, 0))
         expected = estimate(spec, fp, 50, dist.k).value
         row = report.rows[0]
+        assert row.n == 50
         assert row.mean == expected
         assert row.mse == (expected - dist.support) ** 2
-        assert row.normalized_mse == row.mse / dist.k**2
+        assert row.nmse_k2 == row.mse / dist.k**2
 
     def test_naive_consistent_when_saturated(self):
         dist = make_distribution("uniform", 0.1)
-        report = evaluate_risk([EstimatorSpec("naive")], [dist], [2000], trials=5, seed=0)
+        report = evaluate_risk([EstimatorSpec("naive")], [dist], [200.0], trials=5, seed=0)
         assert report.rows[0].mse == 0.0
 
     def test_s2_normalization(self):
+        # zipf(1) has k = 101 and S = 26, so the two normalizations differ
         dist = make_distribution("zipf", 1e-2, alpha=1.0)
-        report = evaluate_risk(
-            [EstimatorSpec("naive")], [dist], [100], trials=3, seed=1, normalization="s2"
-        )
+        report = evaluate_risk([EstimatorSpec("naive")], [dist], [1.0], trials=3, seed=1)
         row = report.rows[0]
-        assert row.normalized_mse == pytest.approx(row.mse / dist.support**2)
+        assert row.mse > 0
+        assert row.nmse_k2 == row.mse / dist.k**2
+        assert row.nmse_s2 == row.mse / dist.support**2
+        assert report.worst_case("naive", "k2") == row.nmse_k2
+        assert report.worst_case("naive", "s2") == row.nmse_s2
 
     def test_csv_deterministic_run_to_run(self):
         # zipf(1), zipf(0.25) and benford all have k = 101, so at n = k their
@@ -58,7 +62,7 @@ class TestEvaluateRisk:
         ]
         assert len({d.k for d in dists}) == 1
         specs = [EstimatorSpec(kind) for kind in ("rwc-s", "naive", "gt")]
-        kwargs = dict(trials=6, seed=9, n_mode="fraction")
+        kwargs = dict(trials=6, seed=9)
         a = evaluate_risk(specs, dists, [0.5, 1.0], **kwargs)
         b = evaluate_risk(specs, dists, [0.5, 1.0], **kwargs)
         assert not any(r.error for r in a.rows)
@@ -97,20 +101,19 @@ class TestEvaluateRisk:
 
     def test_fraction_mode(self):
         dist = make_distribution("uniform", 1e-2)
-        report = evaluate_risk(
-            [EstimatorSpec("naive")], [dist], [0.5], trials=1, seed=0, n_mode="fraction"
-        )
-        assert report.rows[0].n == 50
+        report = evaluate_risk([EstimatorSpec("naive")], [dist, dist], [0.5, 2.0], trials=1, seed=0)
+        assert [r.n for r in report.rows] == [50, 50, 200, 200]
 
     def test_error_rows_marked(self):
         # all-singleton samples break Good-Turing; the sweep must survive
         dist = make_distribution("uniform", 1e-6)
-        report = evaluate_risk([EstimatorSpec("gt")], [dist], [3], trials=2, seed=0)
+        report = evaluate_risk([EstimatorSpec("gt")], [dist], [3e-6], trials=2, seed=0)
         row = report.rows[0]
         assert row.error != ""
         assert math.isnan(row.mse)
+        assert row.n == 3
         with pytest.raises(ValueError):
-            report.worst_case("gt")
+            report.worst_case("gt", "k2")
 
     def test_solver_bug_propagates(self, monkeypatch):
         # only typed numerical and input failures become error rows
@@ -120,21 +123,42 @@ class TestEvaluateRisk:
         monkeypatch.setattr(harness.est_mod, "solve", broken)
         dist = make_distribution("uniform", 1e-2)
         with pytest.raises(RuntimeError, match="solver bug"):
-            evaluate_risk([EstimatorSpec("rwc", s=50)], [dist], [50], trials=1, seed=0)
+            evaluate_risk([EstimatorSpec("rwc", s=50)], [dist], [0.5], trials=1, seed=0)
 
     def test_runtime_kept_out_of_csv(self):
+        # no wall-clock field in either format: both are pure functions of the inputs
         dist = make_distribution("uniform", 1e-2)
-        report = evaluate_risk([EstimatorSpec("naive")], [dist], [10], trials=1, seed=0)
-        assert "runtime" not in report.to_csv()
-        assert "runtime" in report.to_csv(include_runtime=True)
-        assert "runtime" in report.to_json_dict()[0]
+        report = evaluate_risk([EstimatorSpec("naive")], [dist], [0.1], trials=1, seed=0)
+        header = report.to_csv().splitlines()[0].split(",")
+        assert header == list(report.to_json_dict()[0])
+        assert "runtime" not in header
 
     def test_input_validation(self):
         dist = make_distribution("uniform", 1e-2)
         with pytest.raises(ValueError):
-            evaluate_risk([EstimatorSpec("naive")], [dist], [10], trials=0, seed=0)
+            evaluate_risk([EstimatorSpec("naive")], [dist], [0.1], trials=0, seed=0)
+        report = evaluate_risk([EstimatorSpec("naive")], [dist], [0.1], trials=1, seed=0)
         with pytest.raises(ValueError):
-            evaluate_risk([EstimatorSpec("naive")], [dist], [10], trials=1, seed=0, normalization="s3")
+            report.worst_case("naive", "s3")
+
+    def test_cache_key_includes_max_iter(self):
+        # a starved spec must not reuse a converged spec's coefficients
+        dist = make_distribution("uniform", 1e-3)
+        specs = [EstimatorSpec("rwc", max_iter=MAX_ITER), EstimatorSpec("rwc", max_iter=1)]
+        report = evaluate_risk(specs, [dist], [1.0], trials=2, seed=0)
+        full, starved = report.rows
+        assert full.error == ""
+        assert starved.error.startswith("NonConvergenceError")
+
+    def test_wy_fallback_to_naive(self):
+        # n/k = 5 > c1 ln k: the WY interval collapses and the spec falls back
+        dist = make_distribution("uniform", 1e-2)
+        specs = [EstimatorSpec("wy", fallback_to_naive=True), EstimatorSpec("naive")]
+        report = evaluate_risk(specs, [dist], [5.0], trials=3, seed=0)
+        naive, wy = report.rows
+        assert (naive.estimator, wy.estimator) == ("naive", "wy")
+        assert wy.error == ""
+        assert wy.mean == naive.mean
 
 
 class TestGridConvergenceStudy:
@@ -174,7 +198,7 @@ class TestBiasCurve:
         assert [r["lambda"] for r in rows] == [1.0, 3.0]
 
     def test_degenerate_interval(self):
-        rows = bias_curve(Polynomial((-1.0,)), IntervalSpec(2.0, 2.0, degenerate=True), 5)
+        rows = bias_curve(Polynomial((-1.0,)), IntervalSpec(2.0, 2.0), 5)
         assert len(rows) == 1
 
     def test_points_validation(self):

@@ -18,7 +18,6 @@ from suppest.sip import (
     build_grid,
     certify,
     localized_interval,
-    mrs_interval,
     solve,
 )
 from _rational import dual_value_exact
@@ -49,22 +48,6 @@ class TestLocalizedInterval:
             localized_interval(10.0, 10.0, 0)
 
 
-class TestMrsInterval:
-    def test_degree_seven(self):
-        iv = mrs_interval(5.0, 5.0, 7)
-        assert iv.lo == 1.0
-        assert iv.hi == pytest.approx(1.0 + 7 * math.pi / 2, rel=1e-15)
-
-    def test_degree_one(self):
-        iv = mrs_interval(3.0, 3.0, 1)
-        assert iv.hi == pytest.approx(1.0 + math.pi / 2, rel=1e-15)
-
-    def test_shifted(self):
-        iv = mrs_interval(8.0, 4.0, 4)
-        assert iv.lo == 2.0
-        assert iv.hi == pytest.approx(2.0 + 2 * math.pi, rel=1e-15)
-
-
 class TestBuildGrid:
     def test_standard(self):
         grid = build_grid(IntervalSpec(1.0, 45.5), 1000)
@@ -79,16 +62,16 @@ class TestBuildGrid:
         assert list(grid.points) == [1.0, 45.5]
 
     def test_degenerate(self):
-        grid = build_grid(IntervalSpec(50.0, 50.0, degenerate=True), 1)
-        assert grid.s == 1
-        assert list(grid.points) == [50.0]
-        assert grid.d == 0.0
+        # a point interval is its single point, whatever s is
+        for s in (1, 3, 1000):
+            grid = build_grid(IntervalSpec(50.0, 50.0), s)
+            assert grid.s == 1
+            assert list(grid.points) == [50.0]
+            assert grid.d == 0.0
 
     def test_too_few_points(self):
         with pytest.raises(InvalidGridError):
             build_grid(IntervalSpec(1.0, 45.5), 1)
-        with pytest.raises(InvalidGridError):
-            build_grid(IntervalSpec(50.0, 50.0, degenerate=True), 3)
 
 
 def _standard_problem(s=1000, reg=1e-6, degree=7):
@@ -108,7 +91,7 @@ class TestSolve:
         assert res.duality_gap == 0.0
 
     def test_degree_one_single_point(self):
-        grid = build_grid(IntervalSpec(1.0, 1.0, degenerate=True), 1)
+        grid = build_grid(IntervalSpec(1.0, 1.0), 1)
         res = solve(SipProblem(1, grid, 0.1), tol=1e-12)
         assert res.coeffs.coeffs[1] == pytest.approx(1.0 / (math.e / 10 + 1), abs=1e-9)
 
@@ -166,7 +149,7 @@ class TestCertify:
         assert certify(res, problem, 10) == pytest.approx(res.t_d, rel=1e-14)
 
     def test_degenerate_point(self):
-        grid = build_grid(IntervalSpec(3.0, 3.0, degenerate=True), 1)
+        grid = build_grid(IntervalSpec(3.0, 3.0), 1)
         problem = SipProblem(2, grid, 0.05)
         res = solve(problem, tol=1e-10)
         assert certify(res, problem, 10) == pytest.approx(res.t_d, rel=1e-9)
@@ -214,7 +197,7 @@ def _weighted_solve(kind, k, n_over_k):
         result, reg = rwcs_coefficients(k, n, s_count, spec), 1.0 / s_count
     degree = degree_for(k)
     interval = localized_interval(n, k, degree)
-    grid = build_grid(interval, 1 if interval.degenerate else spec.s)
+    grid = build_grid(interval, spec.s)
     return result, SipProblem(degree, grid, reg)
 
 
