@@ -6,6 +6,7 @@ from .data import (
     Histogram,
     fingerprint,
     histogram_from_counts_file,
+    histogram_from_text,
     histogram_from_tokens,
     make_distribution,
     sample,

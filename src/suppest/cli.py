@@ -112,12 +112,13 @@ def _spec_from_args(args, kind: str) -> est_mod.EstimatorSpec:
 
 
 def _cmd_estimate(args) -> int:
-    with open(args.input, "rb") as fh:
-        raw = fh.read()
     if args.counts:
-        hist = data_mod.histogram_from_counts_file(raw.decode("utf-8").splitlines())
+        hist = data_mod.histogram_from_counts_file(args.input)
     else:
-        hist = data_mod.histogram_from_tokens(data_mod.tokenize_text(raw))
+        with open(args.input, "rb") as fh:
+            hist = data_mod.histogram_from_text(fh)
+    if not hist.counts:
+        raise data_mod.IngestionError("no counts" if args.counts else "input has no tokens")
     fp = data_mod.fingerprint(hist)
     n = fp.n
     k_assumed = args.k is None

@@ -9,6 +9,7 @@ per-trial child seeds are derived splittably from the master seed.
 
 from __future__ import annotations
 
+import codecs
 import importlib.resources
 import math
 import re
@@ -17,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+", re.UNICODE)
+# Tokens are runs of letters, digits and apostrophes.  `_` matches \w, so
+# tokenize_text turns it into a space first; no character lowercases to one
+# that contains `_`.
+_TOKEN_RE = re.compile(r"[\w']+")
+
+# Bytes read from a file at a time by the streaming readers.
+_BLOCK_BYTES = 1 << 20
 
 
 class IngestionError(ValueError):
@@ -73,7 +80,52 @@ def tokenize_text(data) -> list[str]:
             raise IngestionError(f"invalid UTF-8 at byte offset {exc.start}") from exc
     else:
         text = data
-    return _TOKEN_RE.findall(text.lower())
+    return _TOKEN_RE.findall(text.lower().replace("_", " "))
+
+
+def _line_blocks(fh):
+    """Decode a binary file in blocks of whole lines.
+
+    Every block but the last ends with "\n"; a line longer than a block is
+    carried whole into the next one.  Cutting only at line breaks keeps each
+    block's lowercasing equal to the whole text's (Greek final sigma looks
+    across "." and "'", never across whitespace) and keeps `\r\n` together.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # bytes read before the current block
+    pieces = []
+    while True:
+        raw = fh.read(_BLOCK_BYTES)
+        pending = len(decoder.getstate()[0])
+        try:
+            text = decoder.decode(raw, final=not raw)
+        except UnicodeDecodeError as exc:
+            # exc.start counts the bytes the decoder held over from the last block
+            raise IngestionError(f"invalid UTF-8 at byte offset {offset - pending + exc.start}") from exc
+        if not raw:
+            break
+        offset += len(raw)
+        cut = text.rfind("\n") + 1
+        if cut:
+            pieces.append(text[:cut])
+            yield "".join(pieces)
+            pieces = [text[cut:]]
+        else:
+            pieces.append(text)
+    pieces.append(text)
+    yield "".join(pieces)
+
+
+def histogram_from_text(fh) -> Histogram:
+    """Histogram of the tokens of a UTF-8 text read from a binary file.
+
+    Memory is bounded by the vocabulary plus one block plus the longest line,
+    whatever the file size.
+    """
+    counts = Counter()
+    for block in _line_blocks(fh):
+        counts.update(tokenize_text(block))
+    return Histogram(counts)
 
 
 def histogram_from_tokens(tokens) -> Histogram:
@@ -81,14 +133,16 @@ def histogram_from_tokens(tokens) -> Histogram:
 
 
 def histogram_from_counts_file(source) -> Histogram:
-    """Parse `symbol<TAB>count` lines (or bare counts, one symbol per line)."""
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
+    """Parse `symbol<TAB>count` lines (or bare counts, one symbol per line).
+
+    `source` is a path to a UTF-8 file, whose lines are split as by
+    `str.splitlines`, or an iterable of lines.
+    """
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        with open(source, "rb") as fh:
+            return histogram_from_counts_file(line for block in _line_blocks(fh) for line in block.splitlines())
     counts = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue

@@ -50,6 +50,33 @@ class TestEstimate:
         assert lines[0].startswith("estimator,value")
         assert lines[1].startswith("naive,4")
 
+    @pytest.mark.parametrize("estimator", ["rwc-s", "naive"])
+    @pytest.mark.parametrize("content", ["", " ,. --\n\n"])
+    def test_text_without_tokens_rejected(self, capsys, tmp_path, content, estimator):
+        path = tmp_path / "t.txt"
+        path.write_text(content)
+        code, out, err = run(capsys, "estimate", str(path), "--estimator", estimator)
+        assert code == 1
+        assert out == ""
+        assert "input has no tokens" in err
+
+    @pytest.mark.parametrize("estimator", ["rwc-s", "naive"])
+    @pytest.mark.parametrize("content", ["", "\n \n\t\n"])
+    def test_counts_without_counts_rejected(self, capsys, tmp_path, content, estimator):
+        path = tmp_path / "counts.tsv"
+        path.write_text(content)
+        code, out, err = run(capsys, "estimate", str(path), "--counts", "--estimator", estimator)
+        assert code == 1
+        assert out == ""
+        assert "no counts" in err
+
+    def test_counts_invalid_utf8(self, capsys, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(b"a\t1\n\xff\t2\n")
+        code, _, err = run(capsys, "estimate", str(path), "--counts", "--estimator", "naive")
+        assert code == 1
+        assert "invalid UTF-8 at byte offset 4" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "estimate", "/nonexistent/xyz")
         assert code == 1

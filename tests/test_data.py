@@ -1,9 +1,14 @@
+import io
 import math
+import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from suppest import data as data_mod
 from suppest.data import (
     DistributionSpec,
     Fingerprint,
@@ -13,6 +18,7 @@ from suppest.data import (
     child_seed,
     fingerprint,
     histogram_from_counts_file,
+    histogram_from_text,
     histogram_from_tokens,
     make_distribution,
     sample,
@@ -40,6 +46,89 @@ class TestTokenize:
             tokenize_text(b"ok \xff\xfe")
 
 
+def whole_text_counts(text: str) -> Counter:
+    """Oracle: the whole-text tokenization the streaming reader must match."""
+    return Counter(re.findall(r"(?:[^\W_]|')+", text.lower()))
+
+
+def stream_counts(raw: bytes, block: int) -> dict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, "_BLOCK_BYTES", block)
+        return histogram_from_text(io.BytesIO(raw)).counts
+
+
+class TestHistogramFromText:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "café naïve\nété déjà\n",  # multi-byte characters split across blocks
+            "don't won't\nrock'n'roll 'tis\n",  # apostrophe tokens split across blocks
+            # "ΑΣ.Α" lowercases to "ασ.α" but "ΑΣ" alone to "ας": a block cut
+            # after "." or "'" would change the tokens
+            "x\nΑΣ.Α ΑΣ\nΣΑΣ'Α\n",
+            "To be,\r\nor not\r\nto be\r\n",  # CRLF line ends
+            "no newline at all, " * 20,  # one block whatever the block size
+            "",
+            "snake_case __x__ 𝔸𝔹 İstanbul\n\n\n",
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 16])
+    def test_matches_whole_text(self, text, block):
+        assert stream_counts(text.encode(), block) == whole_text_counts(text)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 64])
+    def test_invalid_byte_after_split_character(self, block):
+        with pytest.raises(IngestionError, match=r"invalid UTF-8 at byte offset 5$"):
+            stream_counts(b"abc\xc3\xa9\xffz", block)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_truncated_character_at_end(self, block):
+        with pytest.raises(IngestionError, match=r"byte offset 2$"):
+            stream_counts(b"ab\xc3", block)
+
+    def test_bundled_corpus(self):
+        raw = bundled_corpus_path().read_bytes()
+        assert stream_counts(raw, 4096) == histogram_from_tokens(tokenize_text(raw)).counts
+
+    @given(
+        st.text(alphabet="aZé'Σς Α._-\n\r\t𝔸İ9", max_size=80),
+        st.integers(1, 64),
+        st.one_of(st.none(), st.tuples(st.integers(0, 200), st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82"]))),
+    )
+    def test_blocks_match_whole_text(self, text, block, bad):
+        raw = text.encode()
+        if bad is not None:
+            at = min(bad[0], len(raw))
+            raw = raw[:at] + bad[1] + raw[at:]
+        try:
+            expected = whole_text_counts(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            with pytest.raises(IngestionError, match=rf"byte offset {exc.start}$"):
+                stream_counts(raw, block)
+        else:
+            assert stream_counts(raw, block) == expected
+
+    def test_memory_bounded_by_vocabulary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_mod, "_BLOCK_BYTES", 512)
+        vocab = [f"word{i}" for i in range(300)]
+        one = "".join(" ".join(vocab[(7 * j + i) % 300] for i in range(12)) + "\n" for j in range(100))
+        peaks = {}
+        for copies in (1, 8):
+            path = tmp_path / f"text{copies}.txt"
+            path.write_text(one * copies)
+            with open(path, "rb") as fh:
+                histogram_from_text(fh)  # warm up regex and codec caches
+            with open(path, "rb") as fh:
+                tracemalloc.start()
+                try:
+                    hist = histogram_from_text(fh)
+                    peaks[copies] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(hist) == 300 and hist.n == 1200 * copies
+        assert peaks[8] <= 1.5 * peaks[1], peaks
+
+
 class TestHistogram:
     def test_counts_file(self):
         h = histogram_from_counts_file(["a\t2", "b\t1"])
@@ -60,6 +149,23 @@ class TestHistogram:
     def test_malformed_rejected(self):
         with pytest.raises(IngestionError, match="line 2"):
             histogram_from_counts_file(["a\t2", "b\tx"])
+
+    def test_counts_path_streams_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_mod, "_BLOCK_BYTES", 3)
+        path = tmp_path / "counts.tsv"
+        path.write_bytes("3\r\n\u00e9 b\t2\r\n\r\n 5\x0b4 \n".encode())
+        # str.splitlines lines: "\x0b" ends a line, "\r\n" is one line end
+        assert histogram_from_counts_file(path).counts == {"line1": 3, "é b": 2, "line4": 5, "line5": 4}
+        path.write_bytes(b"1\r\n2\r\n\r\nx\r\n")
+        with pytest.raises(IngestionError, match="line 4: malformed"):
+            histogram_from_counts_file(path)
+
+    def test_counts_path_invalid_utf8(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_mod, "_BLOCK_BYTES", 2)
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(b"a\t1\n\xff\t2\n")
+        with pytest.raises(IngestionError, match=r"invalid UTF-8 at byte offset 4$"):
+            histogram_from_counts_file(path)
 
     def test_from_tokens(self):
         h = histogram_from_tokens(["a", "b", "a"])
