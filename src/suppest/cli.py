@@ -43,9 +43,10 @@ def _parse_dist(token: str) -> data_mod.DistributionSpec | tuple:
     raise ValueError(f"unknown distribution {token!r} (use uniform, benford, or zipf:<alpha>)")
 
 
-def _add_solver_flags(p):
+def _add_solver_flags(p, wy=True):
     p.add_argument("--c0", type=float, default=0.558, help="degree constant, L = floor(c0 ln k) (default 0.558)")
-    p.add_argument("--c1", type=float, default=0.5, help="WY interval constant (default 0.5)")
+    if wy:
+        p.add_argument("--c1", type=float, default=0.5, help="WY interval constant (default 0.5)")
     p.add_argument("--s", type=int, default=1000, help="grid points for the discretized program (default 1000)")
     p.add_argument("--tol", type=float, default=1e-8, help="solver duality-gap tolerance (default 1e-8)")
     p.add_argument("--max-iter", type=int, default=MAX_ITER, help=f"solver interior-point iteration budget (default {MAX_ITER})")
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--s-list", default="11,21,41,81,161,5121", help="comma list of grid sizes, finest is the reference")
-    _add_solver_flags(p)
+    _add_solver_flags(p, wy=False)
 
     p = sub.add_parser("bias-curve", help="export bias/variance/objective along the interval")
     p.add_argument("--k", type=float, required=True)
@@ -103,7 +104,7 @@ def _spec_from_args(args, kind: str) -> est_mod.EstimatorSpec:
     return est_mod.EstimatorSpec(
         kind=kind,
         c0=args.c0,
-        c1=args.c1,
+        c1=getattr(args, "c1", est_mod.EstimatorSpec.c1),
         s=args.s,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -167,29 +168,11 @@ def _cmd_coeffs(args) -> int:
         spec = _spec_from_args(args, args.estimator)
         if args.estimator == "rwc":
             result = est_mod.rwc_coefficients(args.k, args.n, spec)
-            reg = 1.0 / args.k
         else:
             if args.s_count is None:
                 raise ValueError("rwc-s needs --s-count (the naive counting estimate)")
             result = est_mod.rwcs_coefficients(args.k, args.n, args.s_count, spec)
-            reg = 1.0 / args.s_count
-        degree = result.coeffs.degree
-        per_count, tail = g_values(result.coeffs)
-        interval = (
-            localized_interval(args.n, args.k, degree)
-            if degree >= 1
-            else None
-        )
-        payload = {
-            "estimator": args.estimator,
-            "degree": degree,
-            "reg_weight": _fmt(reg),
-            "interval": [_fmt(interval.lo), _fmt(interval.hi)] if interval else [_fmt(args.n / args.k)] * 2,
-            "grid_points": args.s if interval and not interval.degenerate else 1,
-            "g_values": [_fmt(g) for g in per_count],
-            "g_tail": _fmt(tail),
-            **result.to_json_dict(),
-        }
+        payload = {"estimator": args.estimator, **result.to_json_dict()}
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -17,15 +17,7 @@ import numpy as np
 
 from .data import Fingerprint
 from .poly import Polynomial, g_values, shifted_cheb_coeffs
-from .sip import (
-    MAX_ITER,
-    IntervalSpec,
-    SipProblem,
-    SolveResult,
-    build_grid,
-    localized_interval,
-    solve,
-)
+from .sip import MAX_ITER, SipProblem, SolveResult, build_grid, localized_interval, solve
 
 KINDS = ("rwc", "rwc-s", "wy", "gt", "naive")
 
@@ -55,6 +47,8 @@ class EstimatorSpec:
             raise ValueError("c0 and c1 must be positive")
         if self.s < 2:
             raise ValueError("grid size s must be >= 2")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -89,14 +83,7 @@ def _solve_weighted(
     k: float, n: float, reg_weight: float, spec: EstimatorSpec, init_weights: np.ndarray | None = None
 ) -> SolveResult:
     degree = degree_for(k, spec.c0)
-    if degree < 1:
-        # pure counting estimator; solve the trivial single-point instance
-        interval = IntervalSpec(n / k, n / k)
-        problem = SipProblem(0, build_grid(interval, 1), reg_weight)
-    else:
-        interval = localized_interval(n, k, degree)
-        grid = build_grid(interval, spec.s)
-        problem = SipProblem(degree, grid, reg_weight)
+    problem = SipProblem(degree, build_grid(localized_interval(n, k, degree), spec.s), reg_weight)
     return solve(problem, tol=spec.tol, max_iter=spec.max_iter, init_weights=init_weights)
 
 

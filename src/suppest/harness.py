@@ -14,22 +14,14 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import data as data_mod
 from . import estimators as est_mod
 from .poly import Polynomial, objective_values
-from .sip import (
-    IntervalSpec,
-    NonConvergenceError,
-    RankDeficiencyError,
-    SipProblem,
-    build_grid,
-    localized_interval,
-    solve,
-)
+from .sip import IntervalSpec, NonConvergenceError, RankDeficiencyError, build_grid
 
 
 def _fmt(x: float) -> str:
@@ -182,13 +174,12 @@ def grid_convergence_study(
     log-log regression of (t_ref - t_d) against the spacing d.
     """
     s_list = sorted(int(s) for s in s_list)
-    degree = est_mod.degree_for(k, spec.c0)
-    interval = localized_interval(n, k, max(degree, 1))
+    if not s_list:
+        raise ValueError("s_list must not be empty")
     rows = []
     for s in s_list:
-        grid = build_grid(interval, s)
-        result = solve(SipProblem(degree, grid, 1.0 / k), tol=spec.tol, max_iter=spec.max_iter)
-        rows.append(ConvergenceRow(s, grid.d, result.t_d))
+        result = est_mod.rwc_coefficients(k, n, replace(spec, s=s))
+        rows.append(ConvergenceRow(s, result.problem.grid.d, result.t_d))
     t_ref = rows[-1].t_d
     exponent = None
     if len(rows) >= 3:
@@ -201,13 +192,9 @@ def grid_convergence_study(
 
 
 def bias_curve(p: Polynomial, interval: IntervalSpec, points: int, reg_weight: float = 0.0):
-    """Dense table of (lambda, bias, variance_term, g) for plotting exports."""
-    if interval.degenerate:
-        lams = np.array([interval.lo])
-    else:
-        if points < 2:
-            raise ValueError("points must be >= 2")
-        lams = np.linspace(interval.lo, interval.hi, points)
+    """Dense table of (lambda, bias, variance_term, g) for plotting exports,
+    on the uniform grid of `points` rates (one for a point interval)."""
+    lams = build_grid(interval, points).points
     var, bias, g = objective_values(p, lams, reg_weight)
     return [
         {"lambda": float(l), "bias": float(b), "variance_term": float(v), "g": float(gg)}

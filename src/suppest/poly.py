@@ -50,9 +50,13 @@ class Polynomial:
 def shifted_cheb_coeffs(degree: int, lo: float, hi: float) -> Polynomial:
     """Monomial coefficients of -T_L((2x-hi-lo)/(hi-lo)) / T_L((-hi-lo)/(hi-lo)).
 
-    The recurrence is carried out directly in coefficient space on the
-    affine-composed argument, which is well conditioned for the small degrees
-    used here (L <= ~15).  The constant coefficient is pinned to -1 exactly.
+    The recurrence runs in coefficient space on the affine-composed argument.
+    On the WY intervals [n/k, 0.5 ln k] of the supported domain (L <= 19, n/k
+    from 1e-6 to 0.9 of the right end) every coefficient is within a relative
+    1e-13 of the exact rational one.  Evaluating the monomial form is what
+    loses accuracy: its Horner sum cancels, so |T_L| read back on [1, 3]
+    exceeds 1 by 1.5e-9 at L = 8 and by more than 1 at L = 17.  The constant
+    coefficient is pinned to -1 exactly.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, _log_factorials, objective_values
+from .poly import Polynomial, _log_factorials, g_values, objective_values
 
 # Beyond lambda = 6.5 * L the objective decreases in lambda for every
 # degree-L coefficient vector, so the optimization interval can stop there.
@@ -100,6 +100,7 @@ class SipProblem:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    problem: SipProblem
     coeffs: Polynomial
     t_d: float
     duality_gap: float
@@ -107,7 +108,16 @@ class SolveResult:
     dual_weights: np.ndarray
 
     def to_json_dict(self) -> dict:
+        """The solved problem and its certified solution, floats as %.17g."""
+        interval = self.problem.grid.interval
+        per_count, tail = g_values(self.coeffs)
         return {
+            "degree": self.problem.degree,
+            "reg_weight": format(self.problem.reg_weight, ".17g"),
+            "interval": [format(interval.lo, ".17g"), format(interval.hi, ".17g")],
+            "grid_points": self.problem.grid.s,
+            "g_values": [format(g, ".17g") for g in per_count],
+            "g_tail": format(tail, ".17g"),
             "coeffs": [format(c, ".17g") for c in self.coeffs.coeffs],
             "t_d": format(self.t_d, ".17g"),
             "duality_gap": format(self.duality_gap, ".17g"),
@@ -116,11 +126,12 @@ class SolveResult:
 
 
 def localized_interval(n: float, k: float, degree: int) -> IntervalSpec:
-    """Interval [n/k, 6.5 L], collapsing to the single point n/k past 6.5 L."""
+    """Interval [n/k, 6.5 L], collapsing to the single point n/k past 6.5 L
+    (so always for L = 0)."""
     if n <= 0 or k <= 0:
         raise ValueError("n and k must be positive")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     lo = n / k
     hi = LOCALIZATION_FACTOR * degree
     if lo < hi:
@@ -135,7 +146,7 @@ def build_grid(interval: IntervalSpec, s: int) -> GridSpec:
     if interval.degenerate:
         return GridSpec(interval, 1, np.array([interval.lo]), 0.0)
     if s < 2:
-        raise InvalidGridError(f"need s >= 2 grid points, got {s}")
+        raise InvalidGridError(f"need at least 2 grid points, got {s}")
     points = np.linspace(interval.lo, interval.hi, s)
     d = (interval.hi - interval.lo) / (s - 1)
     return GridSpec(interval, s, points, d)
@@ -231,7 +242,7 @@ def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveR
     coeffs = data.unscale(b)
     # report the primal value through the same evaluation path callers use
     t_d = float(objective_values(coeffs, problem.grid.points, problem.reg_weight)[2].max())
-    return SolveResult(coeffs, t_d, max(t_d - q, 0.0), iterations, w)
+    return SolveResult(problem, coeffs, t_d, max(t_d - q, 0.0), iterations, w)
 
 
 def solve(
@@ -259,6 +270,8 @@ def solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     data = _QuadData(problem)
     s = problem.grid.s
 
@@ -277,7 +290,7 @@ def solve(
         i = int(np.argmax(h))
         dual = np.zeros(s)
         dual[i] = 1.0
-        return SolveResult(Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual)
+        return SolveResult(problem, Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual)
 
     degree = problem.degree
     b, q = _dual_solve(data, w)
@@ -341,14 +354,12 @@ def solve(
     )
 
 
-def certify(result: SolveResult, problem: SipProblem, oversample: int) -> float:
-    """Max of the objective on an `oversample`-times finer grid (discretization
-    slack diagnostic: the excess over t_d estimates the grid truncation)."""
+def certify(result: SolveResult, oversample: int) -> float:
+    """Max of the objective on an `oversample`-times finer grid of the solved
+    problem (discretization slack diagnostic: the excess over t_d estimates
+    the grid truncation)."""
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
-    interval = problem.grid.interval
-    if interval.degenerate:
-        fine = problem.grid.points
-    else:
-        fine = np.linspace(interval.lo, interval.hi, (problem.grid.s - 1) * oversample + 1)
-    return float(objective_values(result.coeffs, fine, problem.reg_weight)[2].max())
+    problem = result.problem
+    fine = build_grid(problem.grid.interval, (problem.grid.s - 1) * oversample + 1)
+    return float(objective_values(result.coeffs, fine.points, problem.reg_weight)[2].max())

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import suppest
 from suppest.cli import main
 
 
@@ -114,6 +119,47 @@ class TestCoeffs:
         assert float(payload["duality_gap"]) <= 1e-8
         assert float(payload["coeffs"][0]) == -1.0
 
+    RECORD_KEYS = [
+        "estimator", "degree", "reg_weight", "interval", "grid_points", "g_values",
+        "g_tail", "coeffs", "t_d", "duality_gap", "iterations",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,degree,reg_weight,interval,grid_points",
+        [
+            # L = floor(0.558 ln 4) = 0: the pure-counting point problem at n/k
+            (("--k", "4", "--n", "4"), 0, "0.25", ["1", "1"], 1),
+            # n/k = 50 is past 6.5 L = 19.5: the interval collapses to its left end
+            (("--k", "1e3", "--n", "5e4"), 3, "0.001", ["50", "50"], 1),
+            (
+                ("--k", "1e6", "--n", "1e6", "--estimator", "rwc-s", "--s-count", "600000", "--s", "200"),
+                7, "1.6666666666666667e-06", ["1", "45.5"], 200,
+            ),
+        ],
+    )
+    def test_record(self, capsys, argv, degree, reg_weight, interval, grid_points):
+        code, out, _ = run(capsys, "coeffs", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == self.RECORD_KEYS
+        assert payload["degree"] == degree
+        assert payload["reg_weight"] == reg_weight
+        assert payload["interval"] == interval
+        assert payload["grid_points"] == grid_points
+        assert len(payload["coeffs"]) == len(payload["g_values"]) == degree + 1
+
+    def test_negative_max_iter_exit_1(self):
+        # a negative budget used to spin forever; run it in a child so a hang fails
+        env = {**os.environ, "PYTHONPATH": str(Path(suppest.__file__).parents[1])}
+        argv = ["coeffs", "--k", "1e16", "--n", "1e13", "--max-iter", "-1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "suppest.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "max_iter must be >= 0" in proc.stderr
+
     def test_rwcs_needs_count(self, capsys):
         code, _, err = run(capsys, "coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "rwc-s")
         assert code == 1
@@ -180,6 +226,13 @@ class TestConverge:
         )
         assert code == 0
         assert "rate_exponent=NA" in out
+
+    def test_no_c1_flag(self, capsys):
+        # the study solves rwc problems only, which never read c1
+        code, out, err = run(capsys, "converge", "--k", "1e4", "--n", "1e4", "--s-list", "11", "--c1", "0.7")
+        assert code == 1
+        assert out == ""
+        assert "--c1" in err
 
 
 class TestBiasCurve:

@@ -175,6 +175,10 @@ class TestEstimateDispatch:
         with pytest.raises(ValueError):
             EstimatorSpec("bogus")
 
+    def test_negative_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            EstimatorSpec("rwc", max_iter=-1)
+
     def test_all_values_finite(self):
         fp = Fingerprint({1: 40, 2: 12, 3: 4, 7: 1})
         n = fp.n

@@ -11,6 +11,7 @@ from suppest.estimators import (
     degree_for,
     estimate,
     naive_count,
+    rwc_coefficients,
     rwcs_coefficients,
 )
 from suppest.harness import (
@@ -183,6 +184,18 @@ class TestGridConvergenceStudy:
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "s,d,t_d"
         assert len(lines) == 3
+
+    def test_empty_s_list(self):
+        with pytest.raises(ValueError, match="s_list must not be empty"):
+            grid_convergence_study(1e4, 1e4, [], EstimatorSpec("rwc"))
+
+    def test_solves_the_estimator_problem(self):
+        # each row is the problem rwc_coefficients solves at that grid size,
+        # so a degree-0 cell is its single point n/k with spacing 0
+        report = grid_convergence_study(4, 4, [11, 21], EstimatorSpec("rwc"))
+        t_d = rwc_coefficients(4, 4, EstimatorSpec("rwc")).t_d
+        assert [(r.s, r.d, r.t_d) for r in report.rows] == [(11, 0.0, t_d), (21, 0.0, t_d)]
+        assert report.rate_exponent is None
 
 
 class TestBiasCurve:

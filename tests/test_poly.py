@@ -90,6 +90,18 @@ class TestShiftedChebCoeffs:
             for g, w in zip(got, want):
                 assert g == pytest.approx(float(w), rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("degree", range(1, 20))
+    def test_coefficients_accurate_on_wy_domain(self, degree):
+        # the WY interval [n/k, 0.5 ln k] at the middle k of degree L = floor(0.558 ln k)
+        hi = 0.5 * (degree + 0.5) / 0.558
+        for lo in (1e-6, 1e-3, 0.1, 1.0, 0.9 * hi):
+            if lo >= hi:
+                continue
+            got = shifted_cheb_coeffs(degree, lo, hi).coeffs
+            want = shifted_cheb_exact(degree, Fraction(lo), Fraction(hi))
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= abs(w) * Fraction(1, 10**13), (lo, g, w)
+
 
 class TestPolyEval:
     def test_constant_term(self):

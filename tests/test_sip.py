@@ -44,8 +44,12 @@ class TestLocalizedInterval:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             localized_interval(0.0, 10.0, 3)
-        with pytest.raises(ValueError):
-            localized_interval(10.0, 10.0, 0)
+
+    def test_degree_zero_is_point(self):
+        # 6.5 * 0 <= n/k: the pure-counting estimator is fitted at n/k alone
+        iv = localized_interval(30.0, 10.0, 0)
+        assert iv.degenerate
+        assert iv.lo == iv.hi == 3.0
 
 
 class TestBuildGrid:
@@ -140,24 +144,38 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(_standard_problem(), init_weights=np.ones(3))
 
+    def test_negative_max_iter(self):
+        # the budget test is iterations == max_iter, which a negative budget never meets
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(_standard_problem(), max_iter=-1)
+
+    def test_result_carries_problem(self):
+        degree_zero = SipProblem(0, build_grid(IntervalSpec(2.0, 10.0), 5), 0.3)
+        for p in (_standard_problem(s=11), degree_zero):
+            assert solve(p).problem is p
+        p = _standard_problem(s=11)
+        with pytest.raises(NonConvergenceError) as info:
+            solve(p, max_iter=0)
+        assert info.value.best.problem is p
+
 
 class TestCertify:
     def test_degree_zero_exact(self):
         grid = build_grid(IntervalSpec(2.0, 10.0), 5)
         problem = SipProblem(0, grid, 0.3)
         res = solve(problem)
-        assert certify(res, problem, 10) == pytest.approx(res.t_d, rel=1e-14)
+        assert certify(res, 10) == pytest.approx(res.t_d, rel=1e-14)
 
     def test_degenerate_point(self):
         grid = build_grid(IntervalSpec(3.0, 3.0), 1)
         problem = SipProblem(2, grid, 0.05)
         res = solve(problem, tol=1e-10)
-        assert certify(res, problem, 10) == pytest.approx(res.t_d, rel=1e-9)
+        assert certify(res, 10) == pytest.approx(res.t_d, rel=1e-9)
 
     def test_slack_small_on_fine_grid(self):
         problem = _standard_problem()
         res = solve(problem, tol=1e-8)
-        fine = certify(res, problem, 10)
+        fine = certify(res, 10)
         assert fine >= res.t_d - 1e-8
         assert fine - res.t_d < 1e-6
 
@@ -165,7 +183,7 @@ class TestCertify:
         problem = _standard_problem()
         res = solve(problem, tol=1e-8)
         with pytest.raises(ValueError):
-            certify(res, problem, 1)
+            certify(res, 1)
 
 
 class TestLocalizationProperty:
