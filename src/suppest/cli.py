@@ -16,7 +16,7 @@ from . import data as data_mod
 from . import estimators as est_mod
 from . import harness as harness_mod
 from .estimators import CoverageZeroError, IntervalCollapseError
-from .sip import MAX_ITER, NonConvergenceError, RankDeficiencyError, localized_interval
+from .sip import MAX_ITER, IntervalSpec, NonConvergenceError, RankDeficiencyError
 
 DEFAULT_SUITE = ("uniform", "zipf:1.5", "zipf:1", "zipf:0.5", "zipf:0.25", "benford")
 
@@ -208,10 +208,10 @@ def _cmd_bias_curve(args) -> int:
     spec = _spec_from_args(args, args.estimator)
     if args.estimator == "wy":
         p = est_mod.wy_coefficients(args.k, args.n, args.c0, args.c1)
+        interval = IntervalSpec(args.n / args.k, args.c1 * math.log(args.k))
     else:
-        p = est_mod.rwc_coefficients(args.k, args.n, spec).coeffs
-    degree = max(p.degree, 1)
-    interval = localized_interval(args.n, args.k, degree)
+        result = est_mod.rwc_coefficients(args.k, args.n, spec)
+        p, interval = result.coeffs, result.problem.grid.interval
     reg = 1.0 / args.k if args.reg_weight is None else args.reg_weight
     rows = harness_mod.bias_curve(p, interval, args.points, reg_weight=reg)
     sys.stdout.write(harness_mod.bias_curve_to_csv(rows))

@@ -9,7 +9,6 @@ per-trial child seeds are derived splittably from the master seed.
 
 from __future__ import annotations
 
-import codecs
 import importlib.resources
 import math
 import re
@@ -25,6 +24,13 @@ _TOKEN_RE = re.compile(r"[\w']+")
 
 # Bytes read from a file at a time by the streaming readers.
 _BLOCK_BYTES = 1 << 20
+
+# ASCII whitespace: text blocks are cut after it.
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+# On ASCII bytes, lowercasing and tokenizing in one table: A-Z maps to a-z,
+# [a-z0-9'] is kept and every other byte becomes a space.
+_ASCII_FOLD = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789'" else 32 for c in bytes(range(256)).lower())
 
 
 class IngestionError(ValueError):
@@ -73,58 +79,60 @@ class Fingerprint:
 
 def tokenize_text(data) -> list[str]:
     """Lowercase and split on anything that is not alphanumeric or apostrophe."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestionError(f"invalid UTF-8 at byte offset {exc.start}") from exc
-    else:
-        text = data
+    text = _decode(0, data) if isinstance(data, bytes) else data
     return _TOKEN_RE.findall(text.lower().replace("_", " "))
 
 
-def _line_blocks(fh):
-    """Decode a binary file in blocks of whole lines.
+def _decode(offset: int, raw: bytes) -> str:
+    """Decode UTF-8 bytes that start at byte `offset` of their file."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"invalid UTF-8 at byte offset {offset + exc.start}") from exc
 
-    Every block but the last ends with "\n"; a line longer than a block is
-    carried whole into the next one.  Cutting only at line breaks keeps each
-    block's lowercasing equal to the whole text's (Greek final sigma looks
-    across "." and "'", never across whitespace) and keeps `\r\n` together.
+
+def _blocks(fh, seps: bytes):
+    """Read a binary file as (offset, raw) pieces, each cut after its last byte in `seps`.
+
+    `offset` is the file position of raw's first byte.  Every piece but the
+    last ends with a byte of `seps`; a run longer than a block with none of
+    them is carried whole into the next piece.  `seps` are ASCII, which never
+    occurs inside a UTF-8 multibyte sequence, so each piece decodes on its own
+    exactly as it does within the whole file.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    offset = 0  # bytes read before the current block
+    offset = 0
     pieces = []
-    while True:
-        raw = fh.read(_BLOCK_BYTES)
-        pending = len(decoder.getstate()[0])
-        try:
-            text = decoder.decode(raw, final=not raw)
-        except UnicodeDecodeError as exc:
-            # exc.start counts the bytes the decoder held over from the last block
-            raise IngestionError(f"invalid UTF-8 at byte offset {offset - pending + exc.start}") from exc
-        if not raw:
-            break
-        offset += len(raw)
-        cut = text.rfind("\n") + 1
+    while raw := fh.read(_BLOCK_BYTES):
+        cut = max(map(raw.rfind, seps)) + 1
         if cut:
-            pieces.append(text[:cut])
-            yield "".join(pieces)
-            pieces = [text[cut:]]
+            pieces.append(raw[:cut])
+            piece = b"".join(pieces)
+            yield offset, piece
+            offset += len(piece)
+            pieces = [raw[cut:]]
         else:
-            pieces.append(text)
-    pieces.append(text)
-    yield "".join(pieces)
+            pieces.append(raw)
+    piece = b"".join(pieces)
+    if piece:
+        yield offset, piece
 
 
 def histogram_from_text(fh) -> Histogram:
     """Histogram of the tokens of a UTF-8 text read from a binary file.
 
-    Memory is bounded by the vocabulary plus one block plus the longest line,
-    whatever the file size.
+    The file is read in blocks cut after ASCII whitespace, which no token and
+    no lowercasing context crosses (Greek final sigma looks back across "."
+    and "'", never across whitespace).  An ASCII block is tokenized by a
+    bytes translation and split; any other block by `tokenize_text`.  Memory
+    is bounded by the vocabulary plus one block plus the longest run without
+    whitespace, whatever the file size.
     """
     counts = Counter()
-    for block in _line_blocks(fh):
-        counts.update(tokenize_text(block))
+    for offset, raw in _blocks(fh, _WHITESPACE):
+        if raw.isascii():
+            counts.update(raw.translate(_ASCII_FOLD).decode("ascii").split())
+        else:
+            counts.update(tokenize_text(_decode(offset, raw)))
     return Histogram(counts)
 
 
@@ -140,7 +148,8 @@ def histogram_from_counts_file(source) -> Histogram:
     """
     if isinstance(source, str) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:
-            return histogram_from_counts_file(line for block in _line_blocks(fh) for line in block.splitlines())
+            lines = (line for offset, raw in _blocks(fh, b"\n") for line in _decode(offset, raw).splitlines())
+            return histogram_from_counts_file(lines)
     counts = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()

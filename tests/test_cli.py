@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import suppest
+from suppest import data as data_mod
 from suppest.cli import main
+from suppest.estimators import EstimatorSpec, estimate
 
 
 def run(capsys, *argv):
@@ -81,6 +83,20 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(path), "--counts", "--estimator", "naive")
         assert code == 1
         assert "invalid UTF-8 at byte offset 4" in err
+
+    # reads of 63..66 bytes end before ".", after ".", inside "Σ" and after it
+    @pytest.mark.parametrize("block", [63, 64, 65, 66])
+    def test_mixed_text_matches_whole_text(self, capsys, tmp_path, monkeypatch, block):
+        # "Σ" after "A." lowercases to "ς" and alone to "σ"
+        whole = "w " * 31 + "A.Σ σ Σ\n" + "ascii words only here\n" * 5 + "ΑΣ.Α 𝔸 Σ. εσ\nthe end"
+        path = tmp_path / "t.txt"
+        path.write_text(whole)
+        monkeypatch.setattr(data_mod, "_BLOCK_BYTES", block)
+        code, out, _ = run(capsys, "estimate", str(path), "--estimator", "rwc-s,naive")
+        assert code == 0
+        fp = data_mod.fingerprint(data_mod.histogram_from_tokens(data_mod.tokenize_text(whole)))
+        expected = [estimate(EstimatorSpec(kind), fp, fp.n, fp.n).value for kind in ("rwc-s", "naive")]
+        assert [rec["value"] for rec in json.loads(out)] == expected
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "estimate", "/nonexistent/xyz")
@@ -245,6 +261,16 @@ class TestBiasCurve:
         lines = out.strip().splitlines()
         assert lines[0] == "lambda,bias,variance_term,g"
         assert len(lines) == 6
+        lams = [float(line.split(",")[0]) for line in lines[1:]]
+        assert lams[0] == 1.0 and lams[-1] == 0.5 * math.log(1e4)  # WY's own [n/k, c1 ln k]
+
+    def test_point_problem(self, capsys):
+        """Degree 0 solves the single point n/k, and that is what is plotted."""
+        code, out, _ = run(capsys, "bias-curve", "--k", "4", "--n", "4", "--points", "5")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[0]) == 1.0
 
 
 class TestParsing:
