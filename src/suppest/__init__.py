@@ -3,7 +3,6 @@
 from .data import (
     DistributionSpec,
     Fingerprint,
-    Histogram,
     fingerprint,
     histogram_from_counts_file,
     histogram_from_text,

@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
+def _finite(text: str) -> float:
+    """Type of every float flag: NaN and infinities are input errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
@@ -44,11 +55,11 @@ def _parse_dist(token: str) -> data_mod.DistributionSpec | tuple:
 
 
 def _add_solver_flags(p, wy=True):
-    p.add_argument("--c0", type=float, default=0.558, help="degree constant, L = floor(c0 ln k) (default 0.558)")
+    p.add_argument("--c0", type=_finite, default=0.558, help="degree constant, L = floor(c0 ln k) (default 0.558)")
     if wy:
-        p.add_argument("--c1", type=float, default=0.5, help="WY interval constant (default 0.5)")
+        p.add_argument("--c1", type=_finite, default=0.5, help="WY interval constant (default 0.5)")
     p.add_argument("--s", type=int, default=1000, help="grid points for the discretized program (default 1000)")
-    p.add_argument("--tol", type=float, default=1e-8, help="solver duality-gap tolerance (default 1e-8)")
+    p.add_argument("--tol", type=_finite, default=1e-8, help="solver duality-gap tolerance (default 1e-8)")
     p.add_argument("--max-iter", type=int, default=MAX_ITER, help=f"solver interior-point iteration budget (default {MAX_ITER})")
 
 
@@ -60,23 +71,23 @@ def _build_parser() -> _Parser:
     p.add_argument("input", help="input file (UTF-8 text, or counts with --counts)")
     p.add_argument("--counts", action="store_true", help="input is a symbol<TAB>count file")
     p.add_argument("--estimator", default="rwc-s", help="comma-separated estimators: rwc,rwc-s,wy,gt,naive (default rwc-s)")
-    p.add_argument("--k", type=float, default=None, help="upper bound on 1/min-mass (default: total sample size n)")
+    p.add_argument("--k", type=_finite, default=None, help="upper bound on 1/min-mass (default: total sample size n)")
     p.add_argument("--clamp", action="store_true", help="clamp estimates into [naive count, k]")
     p.add_argument("--fallback", action="store_true", help="fall back to naive counting on WY collapse / GT zero coverage")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_solver_flags(p)
 
     p = sub.add_parser("coeffs", help="dump estimator coefficients for a (k, n) pair")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
+    p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--estimator", choices=("rwc", "rwc-s", "wy"), default="rwc")
-    p.add_argument("--s-count", type=float, default=None, help="counting estimate for the rwc-s regularizer")
+    p.add_argument("--s-count", type=_finite, default=None, help="counting estimate for the rwc-s regularizer")
     _add_solver_flags(p)
 
     p = sub.add_parser("simulate", help="risk sweep over synthetic distributions")
     p.add_argument("--dist", default=",".join(DEFAULT_SUITE), help="comma list: uniform, benford, zipf:<alpha> (default: the six-distribution suite)")
-    p.add_argument("--min-mass", type=float, default=1e-4, help="target minimum probability mass (default 1e-4)")
-    p.add_argument("--n-frac", default="1.0", help="comma list of sample sizes as fractions of k (default 1.0)")
+    p.add_argument("--min-mass", type=_finite, default=1e-4, help="target minimum probability mass (default 1e-4)")
+    p.add_argument("--n-frac", type=lambda text: [_finite(x) for x in text.split(",")], default="1.0", help="comma list of sample sizes as fractions of k (default 1.0)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimators", default="rwc,rwc-s,wy,gt,naive")
@@ -84,17 +95,17 @@ def _build_parser() -> _Parser:
     _add_solver_flags(p)
 
     p = sub.add_parser("converge", help="grid-refinement convergence study")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
+    p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--s-list", default="11,21,41,81,161,5121", help="comma list of grid sizes, finest is the reference")
     _add_solver_flags(p, wy=False)
 
     p = sub.add_parser("bias-curve", help="export bias/variance/objective along the interval")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
+    p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--estimator", choices=("rwc", "wy"), default="rwc")
     p.add_argument("--points", type=int, default=1000)
-    p.add_argument("--reg-weight", type=float, default=None, help="variance weight for the g column (default 1/k)")
+    p.add_argument("--reg-weight", type=_finite, default=None, help="variance weight for the g column (default 1/k)")
     _add_solver_flags(p)
 
     return parser
@@ -114,13 +125,13 @@ def _spec_from_args(args, kind: str) -> est_mod.EstimatorSpec:
 
 def _cmd_estimate(args) -> int:
     if args.counts:
-        hist = data_mod.histogram_from_counts_file(args.input)
+        counts = data_mod.histogram_from_counts_file(args.input)
     else:
         with open(args.input, "rb") as fh:
-            hist = data_mod.histogram_from_text(fh)
-    if not hist.counts:
+            counts = data_mod.histogram_from_text(fh)
+    if not counts:
         raise data_mod.IngestionError("no counts" if args.counts else "input has no tokens")
-    fp = data_mod.fingerprint(hist)
+    fp = data_mod.fingerprint(counts)
     n = fp.n
     k_assumed = args.k is None
     k = float(n) if k_assumed else args.k
@@ -183,8 +194,7 @@ def _cmd_simulate(args) -> int:
         kind, alpha = _parse_dist(token.strip())
         dists.append(data_mod.make_distribution(kind, args.min_mass, alpha=alpha))
     specs = [_spec_from_args(args, kind.strip()) for kind in args.estimators.split(",")]
-    n_fracs = [float(x) for x in args.n_frac.split(",")]
-    report = harness_mod.evaluate_risk(specs, dists, n_fracs, trials=args.trials, seed=args.seed)
+    report = harness_mod.evaluate_risk(specs, dists, args.n_frac, trials=args.trials, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:

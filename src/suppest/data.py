@@ -37,36 +37,21 @@ class IngestionError(ValueError):
     pass
 
 
-class Histogram:
-    """Symbol -> positive count mapping."""
-
-    def __init__(self, counts: dict):
-        for sym, c in counts.items():
-            if c < 1 or c != int(c):
-                raise ValueError(f"count for {sym!r} must be a positive integer, got {c}")
-        self.counts = {sym: int(c) for sym, c in counts.items()}
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts.values())
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __eq__(self, other):
-        return isinstance(other, Histogram) and self.counts == other.counts
-
-
 @dataclass(frozen=True)
 class Fingerprint:
-    """Sparse counts-of-counts: h[j] symbols were observed exactly j times."""
+    """Sparse counts-of-counts: h[j] symbols were observed exactly j times.
+
+    Each count j must be a positive integer (an integral float becomes an int
+    key) and each h[j] positive.
+    """
 
     h: dict
 
     def __post_init__(self):
         for j, hj in self.h.items():
-            if j < 1 or hj < 1:
-                raise ValueError(f"fingerprint entries must be positive, got h[{j}] = {hj}")
+            if not (j >= 1 and j % 1 == 0 and hj >= 1):
+                raise ValueError(f"fingerprint entries must be positive with integer counts, got h[{j}] = {hj}")
+        object.__setattr__(self, "h", {int(j): hj for j, hj in self.h.items()})
 
     @property
     def n(self) -> int:
@@ -117,8 +102,8 @@ def _blocks(fh, seps: bytes):
         yield offset, piece
 
 
-def histogram_from_text(fh) -> Histogram:
-    """Histogram of the tokens of a UTF-8 text read from a binary file.
+def histogram_from_text(fh) -> Counter:
+    """Token -> count of the tokens of a UTF-8 text read from a binary file.
 
     The file is read in blocks cut after ASCII whitespace, which no token and
     no lowercasing context crosses (Greek final sigma looks back across "."
@@ -133,16 +118,17 @@ def histogram_from_text(fh) -> Histogram:
             counts.update(raw.translate(_ASCII_FOLD).decode("ascii").split())
         else:
             counts.update(tokenize_text(_decode(offset, raw)))
-    return Histogram(counts)
+    return counts
 
 
-def histogram_from_tokens(tokens) -> Histogram:
-    return Histogram(dict(Counter(tokens)))
+def histogram_from_tokens(tokens) -> Counter:
+    return Counter(tokens)
 
 
-def histogram_from_counts_file(source) -> Histogram:
-    """Parse `symbol<TAB>count` lines (or bare counts, one symbol per line).
+def histogram_from_counts_file(source) -> dict:
+    """Symbol -> count from `symbol<TAB>count` lines (or bare counts, one symbol per line).
 
+    A bare count on line N is keyed by the int N, which no str symbol equals.
     `source` is a path to a UTF-8 file, whose lines are split as by
     `str.splitlines`, or an iterable of lines.
     """
@@ -158,7 +144,7 @@ def histogram_from_counts_file(source) -> Histogram:
         if "\t" in line:
             sym, _, count_str = line.partition("\t")
         else:
-            sym, count_str = f"line{lineno}", line
+            sym, count_str = lineno, line
         try:
             count = int(count_str.strip())
         except ValueError:
@@ -166,11 +152,12 @@ def histogram_from_counts_file(source) -> Histogram:
         if count <= 0:
             raise IngestionError(f"line {lineno}: count must be positive, got {count}")
         counts[sym] = counts.get(sym, 0) + count
-    return Histogram(counts)
+    return counts
 
 
-def fingerprint(hist: Histogram) -> Fingerprint:
-    return Fingerprint(dict(Counter(hist.counts.values())))
+def fingerprint(counts) -> Fingerprint:
+    """Counts of counts of a symbol -> count mapping."""
+    return Fingerprint(dict(Counter(counts.values())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +260,11 @@ def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
     return np.bincount(idx, minlength=dist.support)
 
 
-def sample(dist: DistributionSpec, n: int, seed) -> Histogram:
+def sample(dist: DistributionSpec, n: int, seed) -> dict:
+    """Symbol index -> count of the symbols drawn at least once."""
     counts = sample_counts(dist, n, seed)
     nz = np.flatnonzero(counts)
-    return Histogram({int(i): int(counts[i]) for i in nz})
+    return {int(i): int(counts[i]) for i in nz}
 
 
 def sample_fingerprint(dist: DistributionSpec, n: int, seed) -> Fingerprint:

@@ -178,8 +178,8 @@ def test_criterion_7_text_experiment():
     assert len(tokens) >= 30_000
     hist = histogram_from_tokens(tokens)
     truth = len(hist)  # brute-force distinct count
-    n = hist.n
-    counts = np.array(sorted(hist.counts.values(), reverse=True), dtype=float)
+    n = sum(hist.values())
+    counts = np.array(sorted(hist.values(), reverse=True), dtype=float)
     empirical = DistributionSpec("empirical", truth, counts / n)
     spec = EstimatorSpec("rwc-s")
     values, naives = [], []

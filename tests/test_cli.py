@@ -278,6 +278,27 @@ class TestParsing:
         code, _, _ = run(capsys, "estimate", "x", "--bogus")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["coeffs", "--k", "inf", "--n", "1"], "--k"),
+            (["coeffs", "--k", "1e4", "--n", "1e4", "--c0", "inf"], "--c0"),
+            (["estimate", "TEXT", "--k", "inf", "--estimator", "wy"], "--k"),
+            (["simulate", "--n-frac", "inf"], "--n-frac"),
+            (["coeffs", "--k", "1e4", "--n", "1e4", "--tol", "nan"], "--tol"),
+            (["coeffs", "--k", "1e4", "--n", "1e4", "--n", "inf"], "--n"),
+            (["coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "rwc-s", "--s-count", "inf"], "--s-count"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "t.txt"
+        path.write_text("to be or not to be")
+        code, out, err = run(capsys, *[str(path) if a == "TEXT" else a for a in argv])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err and "Warning" not in err
+        assert err.splitlines()[-1].startswith(f"suppest {argv[0]}: error: argument {flag}: expected a finite number")
+
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1

@@ -12,7 +12,6 @@ from suppest import data as data_mod
 from suppest.data import (
     DistributionSpec,
     Fingerprint,
-    Histogram,
     IngestionError,
     bundled_corpus_path,
     child_seed,
@@ -55,7 +54,7 @@ def stream_counts(raw: bytes, block: int) -> dict:
     """Counts of histogram_from_text read in `block`-byte reads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_mod, "_BLOCK_BYTES", block)
-        return histogram_from_text(io.BytesIO(raw)).counts
+        return histogram_from_text(io.BytesIO(raw))
 
 
 class TestHistogramFromText:
@@ -93,7 +92,7 @@ class TestHistogramFromText:
 
     def test_bundled_corpus(self):
         raw = bundled_corpus_path().read_bytes()
-        assert stream_counts(raw, 4096) == histogram_from_tokens(tokenize_text(raw)).counts
+        assert stream_counts(raw, 4096) == histogram_from_tokens(tokenize_text(raw))
 
     @given(
         st.text(alphabet="aZé'Σς Α._-:`^\n\r\t\x0b\x0c𝔸İ9", max_size=80),
@@ -141,19 +140,20 @@ class TestHistogramFromText:
                         peaks[copies] = tracemalloc.get_traced_memory()[1]
                     finally:
                         tracemalloc.stop()
-                assert len(hist) == 300 and hist.n == 1200 * copies
+                assert len(hist) == 300 and sum(hist.values()) == 1200 * copies
             assert peaks[8] <= 1.5 * peaks[1], (end, peaks)
 
 
 class TestHistogram:
     def test_counts_file(self):
-        h = histogram_from_counts_file(["a\t2", "b\t1"])
-        assert h.counts == {"a": 2, "b": 1}
-        assert h.n == 3
+        assert histogram_from_counts_file(["a\t2", "b\t1"]) == {"a": 2, "b": 1}
 
     def test_bare_counts(self):
-        h = histogram_from_counts_file(["3", "1"])
-        assert sorted(h.counts.values()) == [1, 3]
+        assert histogram_from_counts_file(["3", "1"]) == {1: 3, 2: 1}
+
+    def test_bare_count_distinct_from_named_symbol(self):
+        # the bare count on line 1 is not the symbol spelled "line1"
+        assert len(histogram_from_counts_file(["7", "line1\t5"])) == 2
 
     def test_empty_file(self):
         assert len(histogram_from_counts_file([])) == 0
@@ -171,7 +171,7 @@ class TestHistogram:
         path = tmp_path / "counts.tsv"
         path.write_bytes("3\r\n\u00e9 b\t2\r\n\r\n 5\x0b4 \n".encode())
         # str.splitlines lines: "\x0b" ends a line, "\r\n" is one line end
-        assert histogram_from_counts_file(path).counts == {"line1": 3, "é b": 2, "line4": 5, "line5": 4}
+        assert histogram_from_counts_file(path) == {1: 3, "é b": 2, 4: 5, 5: 4}
         path.write_bytes(b"1\r\n2\r\n\r\nx\r\n")
         with pytest.raises(IngestionError, match="line 4: malformed"):
             histogram_from_counts_file(path)
@@ -184,35 +184,42 @@ class TestHistogram:
             histogram_from_counts_file(path)
 
     def test_from_tokens(self):
-        h = histogram_from_tokens(["a", "b", "a"])
-        assert h.counts == {"a": 2, "b": 1}
+        assert histogram_from_tokens(["a", "b", "a"]) == {"a": 2, "b": 1}
 
 
 class TestFingerprint:
     def test_example(self):
-        fp = fingerprint(Histogram({"a": 2, "b": 1, "c": 2}))
+        fp = fingerprint({"a": 2, "b": 1, "c": 2})
         assert fp.h == {1: 1, 2: 2}
         assert fp.n == 5
         assert fp.distinct == 3
 
     def test_empty(self):
-        fp = fingerprint(Histogram({}))
+        fp = fingerprint({})
         assert fp.h == {}
         assert fp.n == 0
 
     def test_single_symbol(self):
-        assert fingerprint(Histogram({"x": 7})).h == {7: 1}
+        assert fingerprint({"x": 7}).h == {7: 1}
 
     def test_invalid_entries(self):
         with pytest.raises(ValueError):
             Fingerprint({0: 2})
 
+    @pytest.mark.parametrize("count", [0, -1, 1.5, math.nan, math.inf])
+    def test_invalid_count_rejected(self, count):
+        with pytest.raises(ValueError, match="integer counts"):
+            fingerprint({"a": count})
+
+    def test_integral_float_count(self):
+        h = fingerprint({"a": 2.0}).h
+        assert h == {2: 1} and type(next(iter(h))) is int
+
     @given(st.dictionaries(st.text(min_size=1, max_size=4), st.integers(1, 30), max_size=20))
     def test_preserves_n_and_count(self, counts):
-        hist = Histogram(counts)
-        fp = fingerprint(hist)
-        assert fp.n == hist.n
-        assert fp.distinct == len(hist)
+        fp = fingerprint(counts)
+        assert fp.n == sum(counts.values())
+        assert fp.distinct == len(counts)
 
 
 class TestMakeDistribution:
