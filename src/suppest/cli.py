@@ -16,19 +16,10 @@ from . import data as data_mod
 from . import estimators as est_mod
 from . import harness as harness_mod
 from .estimators import CoverageZeroError, IntervalCollapseError
-from .sip import MAX_ITER, IntervalSpec, NonConvergenceError, RankDeficiencyError
+from .poly import g_values, objective_values
+from .sip import MAX_ITER, IntervalSpec, NonConvergenceError, RankDeficiencyError, build_grid
 
 DEFAULT_SUITE = ("uniform", "zipf:1.5", "zipf:1", "zipf:0.5", "zipf:0.25", "benford")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self._print_and_code(message))
-
-    def _print_and_code(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
 
 
 def _finite(text: str) -> float:
@@ -46,11 +37,14 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _parse_dist(token: str) -> data_mod.DistributionSpec | tuple:
+def _parse_dist(token: str) -> tuple:
     if token == "uniform" or token == "benford":
         return (token, None)
     if token.startswith("zipf:"):
-        return ("zipf", float(token.split(":", 1)[1]))
+        alpha = float(token.split(":", 1)[1])
+        if not math.isfinite(alpha):
+            raise ValueError(f"zipf exponent must be a finite number, got {token!r}")
+        return ("zipf", alpha)
     raise ValueError(f"unknown distribution {token!r} (use uniform, benford, or zipf:<alpha>)")
 
 
@@ -63,8 +57,8 @@ def _add_solver_flags(p, wy=True):
     p.add_argument("--max-iter", type=int, default=MAX_ITER, help=f"solver interior-point iteration budget (default {MAX_ITER})")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="suppest", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="suppest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", help="estimate support size from a text or counts file")
@@ -134,6 +128,9 @@ def _cmd_estimate(args) -> int:
     fp = data_mod.fingerprint(counts)
     n = fp.n
     k_assumed = args.k is None
+    if not k_assumed and args.k < fp.distinct:
+        # k bounds 1/min-mass, which is at least the support
+        raise ValueError(f"--k {args.k:g} is below the {fp.distinct} distinct symbols observed")
     k = float(n) if k_assumed else args.k
     records = []
     for kind in args.estimator.split(","):
@@ -162,8 +159,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    from .poly import g_values
-
     if args.estimator == "wy":
         p = est_mod.wy_coefficients(args.k, args.n, args.c0, args.c1)
         per_count, tail = g_values(p)
@@ -207,10 +202,8 @@ def _cmd_converge(args) -> int:
     s_list = [int(x) for x in args.s_list.split(",")]
     report = harness_mod.grid_convergence_study(args.k, args.n, s_list, spec)
     sys.stdout.write(report.to_csv())
-    if report.rate_exponent is not None:
-        print(f"# t_ref={_fmt(report.t_ref)} rate_exponent={_fmt(report.rate_exponent)}")
-    else:
-        print(f"# t_ref={_fmt(report.t_ref)} rate_exponent=NA")
+    exponent = "NA" if report.rate_exponent is None else _fmt(report.rate_exponent)
+    print(f"# t_ref={_fmt(report.t_ref)} rate_exponent={exponent}")
     return 0
 
 
@@ -223,8 +216,11 @@ def _cmd_bias_curve(args) -> int:
         result = est_mod.rwc_coefficients(args.k, args.n, spec)
         p, interval = result.coeffs, result.problem.grid.interval
     reg = 1.0 / args.k if args.reg_weight is None else args.reg_weight
-    rows = harness_mod.bias_curve(p, interval, args.points, reg_weight=reg)
-    sys.stdout.write(harness_mod.bias_curve_to_csv(rows))
+    lams = build_grid(interval, args.points).points
+    var, bias, g = objective_values(p, lams, reg)
+    print("lambda,bias,variance_term,g")
+    for row in zip(lams, bias, var, g):
+        print(",".join(map(_fmt, row)))
     return 0
 
 
@@ -241,8 +237,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except (CoverageZeroError, NonConvergenceError, RankDeficiencyError) as exc:

@@ -185,15 +185,6 @@ class DistributionSpec:
         return self.kind
 
 
-def _zipf_min_mass(support: int, alpha: float) -> float:
-    weights = np.arange(1, support + 1, dtype=float) ** (-alpha)
-    return float(weights[-1] / weights.sum())
-
-
-def _benford_min_mass(support: int) -> float:
-    return math.log1p(1.0 / support) / math.log(support + 1)
-
-
 def make_distribution(kind: str, target_min_mass: float, alpha: float | None = None) -> DistributionSpec:
     """Build the distribution whose smallest mass is the largest value not
     exceeding the target (uniform rounds 1/target to the nearest integer)."""
@@ -204,33 +195,29 @@ def make_distribution(kind: str, target_min_mass: float, alpha: float | None = N
         probs = np.full(support, 1.0 / support)
         return DistributionSpec(kind, support, probs)
     if kind == "zipf":
-        if alpha is None or alpha <= 0:
+        if alpha is None or not alpha > 0:
             raise ValueError("zipf needs a positive alpha")
-        min_mass = lambda s: _zipf_min_mass(s, alpha)
+        weights = lambda size: np.arange(1, size + 1, dtype=float) ** (-alpha)
     elif kind == "benford":
-        min_mass = _benford_min_mass
+        weights = lambda size: np.diff(np.log(np.arange(1, size + 2, dtype=float)))
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    lo, hi = 1, 2
-    while min_mass(hi) > target_min_mass:
-        lo, hi = hi, hi * 2
-        if hi > 10**9:
-            raise ValueError("infeasible target_min_mass")
-    # smallest support with min mass <= target (min mass decreases with support)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if min_mass(mid) <= target_min_mass:
-            hi = mid
-        else:
-            lo = mid
-    support = hi
-    if kind == "zipf":
-        weights = np.arange(1, support + 1, dtype=float) ** (-alpha)
+    # support s takes the first s weights, and their smallest share w_s / (w_1 + ... + w_s)
+    # falls as s grows; scan sizes 2, 4, ..., 2**29 (supports up to 10**9) for the first s
+    # where it is <= the target
+    for e in range(1, 30):
+        w = weights(2**e)
+        below = w <= target_min_mass * np.cumsum(w)
+        if below.any():
+            break
     else:
-        edges = np.log(np.arange(1, support + 2, dtype=float))
-        weights = np.diff(edges)
-    probs = weights / weights.sum()
-    return DistributionSpec(kind, support, probs, alpha=alpha)
+        raise ValueError("infeasible target_min_mass")
+    w = w[: int(np.argmax(below)) + 1]
+    probs = w / w.sum()
+    if probs[-1] < np.finfo(float).tiny:
+        # 1 / min mass, the class parameter k, would not be a finite float
+        raise ValueError(f"zipf exponent {alpha:g} is too large: the smallest mass underflows")
+    return DistributionSpec(kind, len(w), probs, alpha=alpha)
 
 
 def child_seed(master: int, *path: int) -> np.random.SeedSequence:

@@ -54,7 +54,6 @@ class EstimatorSpec:
 @dataclass(frozen=True)
 class EstimateResult:
     value: float
-    coeffs: Polynomial | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -80,16 +79,17 @@ def wy_coefficients(k: float, n: float, c0: float = 0.558, c1: float = 0.5) -> P
 
 
 def _solve_weighted(
-    k: float, n: float, reg_weight: float, spec: EstimatorSpec, init_weights: np.ndarray | None = None
+    k: float, n: float, count: float, spec: EstimatorSpec, init_weights: np.ndarray | None = None
 ) -> SolveResult:
+    """Solve with variance weight 1 / count, after degree_for has rejected k < 2."""
     degree = degree_for(k, spec.c0)
-    problem = SipProblem(degree, build_grid(localized_interval(n, k, degree), spec.s), reg_weight)
+    problem = SipProblem(degree, build_grid(localized_interval(n, k, degree), spec.s), 1.0 / count)
     return solve(problem, tol=spec.tol, max_iter=spec.max_iter, init_weights=init_weights)
 
 
 def rwc_coefficients(k: float, n: float, spec: EstimatorSpec) -> SolveResult:
     """Solve the discretized minimax with variance weight 1/k."""
-    return _solve_weighted(k, n, 1.0 / k, spec)
+    return _solve_weighted(k, n, k, spec)
 
 
 def rwcs_coefficients(
@@ -103,7 +103,7 @@ def rwcs_coefficients(
     """
     if s_count < 1:
         raise ValueError(f"counting estimate must be >= 1, got {s_count}")
-    return _solve_weighted(k, n, 1.0 / s_count, spec, init_weights)
+    return _solve_weighted(k, n, s_count, spec, init_weights)
 
 
 def apply_poly_estimator(fp: Fingerprint, p: Polynomial) -> float:
@@ -135,21 +135,15 @@ def estimate(spec: EstimatorSpec, fp: Fingerprint, n: int, k: float) -> Estimate
     """Dispatch to the requested estimator and apply it to the fingerprint."""
     if spec.kind == "naive":
         return EstimateResult(naive_count(fp))
-    if spec.kind == "gt":
-        try:
+    try:
+        if spec.kind == "gt":
             return EstimateResult(good_turing(fp, n))
-        except CoverageZeroError:
-            if spec.fallback_to_naive:
-                return EstimateResult(naive_count(fp), diagnostics={"fallback": "naive"})
-            raise
-    if spec.kind == "wy":
-        try:
-            p = wy_coefficients(k, n, spec.c0, spec.c1)
-        except IntervalCollapseError:
-            if spec.fallback_to_naive:
-                return EstimateResult(naive_count(fp), diagnostics={"fallback": "naive"})
-            raise
-        return EstimateResult(apply_poly_estimator(fp, p), coeffs=p)
+        if spec.kind == "wy":
+            return EstimateResult(apply_poly_estimator(fp, wy_coefficients(k, n, spec.c0, spec.c1)))
+    except (CoverageZeroError, IntervalCollapseError):
+        if spec.fallback_to_naive:
+            return EstimateResult(naive_count(fp), diagnostics={"fallback": "naive"})
+        raise
     if spec.kind == "rwc":
         result = rwc_coefficients(k, n, spec)
     else:  # rwc-s
@@ -163,4 +157,4 @@ def estimate(spec: EstimatorSpec, fp: Fingerprint, n: int, k: float) -> Estimate
     }
     if spec.kind == "rwc-s":
         diagnostics["s_count"] = s_c
-    return EstimateResult(apply_poly_estimator(fp, result.coeffs), result.coeffs, diagnostics)
+    return EstimateResult(apply_poly_estimator(fp, result.coeffs), diagnostics)

@@ -1,4 +1,4 @@
-"""Experiment engine: risk sweeps, grid-convergence studies, bias curves.
+"""Experiment engine: risk sweeps and grid-convergence studies.
 
 Runs are driven entirely by (specs, distributions, n fractions, trials,
 seed) and produce deterministic reports: per-trial samples are drawn from
@@ -20,8 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import estimators as est_mod
-from .poly import Polynomial, objective_values
-from .sip import IntervalSpec, NonConvergenceError, RankDeficiencyError, build_grid
+from .sip import NonConvergenceError, RankDeficiencyError
 
 
 def _fmt(x: float) -> str:
@@ -141,23 +140,20 @@ def evaluate_risk(specs, dists, n_fracs, trials: int, seed: int) -> RiskReport:
                 for t in range(trials)
             ]
             for spec in specs:
+                error = ""
                 try:
                     values = np.array(_cell_estimates(spec, dist, n, fps, cache))
                 except (NonConvergenceError, RankDeficiencyError, ValueError) as exc:
-                    # a typed numerical or input failure marks the row and the
-                    # sweep goes on; any other exception is a bug and propagates
-                    rows.append(
-                        RiskRow(
-                            spec.kind, dist.label, n, trials, math.nan, math.nan, math.nan,
-                            math.nan, math.nan, seed, error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    continue
+                    # a typed numerical or input failure marks the row with NaN
+                    # statistics and the sweep goes on; any other exception is
+                    # a bug and propagates
+                    values = np.full(trials, math.nan)
+                    error = f"{type(exc).__name__}: {exc}"
                 mse = float(np.mean((values - dist.support) ** 2))
                 rows.append(
                     RiskRow(
                         spec.kind, dist.label, n, trials, float(values.mean()), float(values.std()),
-                        mse, mse / dist.k**2, mse / float(dist.support) ** 2, seed,
+                        mse, mse / dist.k**2, mse / float(dist.support) ** 2, seed, error,
                     )
                 )
 
@@ -190,23 +186,3 @@ def grid_convergence_study(
             exponent = float(np.polyfit(log_d, log_gap, 1)[0])
     return ConvergenceReport(tuple(rows), t_ref, exponent)
 
-
-def bias_curve(p: Polynomial, interval: IntervalSpec, points: int, reg_weight: float = 0.0):
-    """Dense table of (lambda, bias, variance_term, g) for plotting exports,
-    on the uniform grid of `points` rates (one for a point interval)."""
-    lams = build_grid(interval, points).points
-    var, bias, g = objective_values(p, lams, reg_weight)
-    return [
-        {"lambda": float(l), "bias": float(b), "variance_term": float(v), "g": float(gg)}
-        for l, b, v, gg in zip(lams, bias, var, g)
-    ]
-
-
-def bias_curve_to_csv(rows) -> str:
-    out = io.StringIO()
-    out.write("lambda,bias,variance_term,g\n")
-    for r in rows:
-        out.write(
-            f"{_fmt(r['lambda'])},{_fmt(r['bias'])},{_fmt(r['variance_term'])},{_fmt(r['g'])}\n"
-        )
-    return out.getvalue()

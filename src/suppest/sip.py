@@ -207,7 +207,13 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
     aug[np.arange(s, s + degree), np.arange(degree)] = np.sqrt(w @ data.M)
     r = np.linalg.qr(aug, mode="r")
     r_a = r[:degree, :degree]
-    scaled = r_a / np.linalg.norm(r_a, axis=0)
+    norms = np.linalg.norm(r_a, axis=0)
+    if not norms.all():
+        raise RankDeficiencyError(
+            "the objective underflows at every grid rate and determines no coefficient; "
+            "n/k is too large (the edge is about 650 at k = 1e15 and 730 at k = 1e2)"
+        )
+    scaled = r_a / norms
     try:
         np.linalg.cholesky(scaled.T @ scaled)
         b = np.linalg.solve(r_a, r[:degree, degree])
@@ -266,7 +272,10 @@ def solve(
     From k = 1e15 an rwc cell with n/k <= 1e-3 can end in NonConvergenceError,
     because the grid maximum of the monomial coefficients is only resolved to
     about tol there; from k = 1e17 (L >= 21) the equilibrated aggregate matrix
-    is numerically singular and the call raises RankDeficiencyError.
+    is numerically singular and the call raises RankDeficiencyError.  So does
+    every k once n/k passes about 650 (k = 1e15) to 730 (k = 1e2): the grid is
+    the point n/k, where exp(-n/k) is so small that a column of the aggregate
+    matrix underflows to 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

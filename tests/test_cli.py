@@ -102,6 +102,18 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "/nonexistent/xyz")
         assert code == 1
 
+    @pytest.mark.parametrize("k, code", [("-3", 1), ("2", 1), ("3", 0)])
+    def test_k_below_distinct_rejected(self, capsys, tmp_path, k, code):
+        # k bounds 1/min-mass, which is at least the 3 distinct symbols seen
+        path = tmp_path / "counts.tsv"
+        path.write_text("a\t1\nb\t1\nc\t2\n")
+        argv = ("estimate", str(path), "--counts", "--k", k, "--estimator", "naive,gt", "--clamp", "--format", "csv")
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == f"suppest: error: --k {k} is below the 3 distinct symbols observed\n"
+
     def test_clamp(self, capsys, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("a\t1\nb\t1\nc\t2\n")
@@ -188,6 +200,14 @@ class TestCoeffs:
         assert "numerical failure" in err
         assert "positive definite" in err
 
+    def test_underflow_exit_2(self, capsys):
+        # n/k = 800: exp(-n/k) underflows at the single grid point
+        code, out, err = run(capsys, "coeffs", "--k", "1000", "--n", "8e5")
+        assert code == 2
+        assert out == ""
+        assert "Warning" not in err
+        assert "underflow" in err and "n/k is too large" in err
+
     def test_outside_supported_domain_exit_2(self, capsys):
         code, out, err = run(capsys, "coeffs", "--k", "1e18", "--n", "1e18")
         assert code == 2
@@ -272,6 +292,12 @@ class TestBiasCurve:
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 1.0
 
+    def test_too_few_points(self, capsys):
+        code, out, err = run(capsys, "bias-curve", "--k", "1e4", "--n", "1e4", "--points", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "suppest: error: need at least 2 grid points, got 1\n"
+
 
 class TestParsing:
     def test_unknown_flag(self, capsys):
@@ -302,3 +328,29 @@ class TestParsing:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
+
+    def test_help_exit_0(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: suppest")
+        assert err == ""
+
+    SIMULATE = ("simulate", "--trials", "2", "--estimators", "naive", "--dist")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("coeffs", "--k", "0", "--n", "1"), "k must be >= 2"),
+            (("bias-curve", "--k", "0", "--n", "5"), "k must be >= 2"),
+            ((*SIMULATE, "zipf:inf"), "zipf exponent must be a finite number, got 'zipf:inf'"),
+            ((*SIMULATE, "zipf:nan"), "zipf exponent must be a finite number, got 'zipf:nan'"),
+            ((*SIMULATE, "zipf:2000"), "zipf exponent 2000 is too large: the smallest mass underflows"),
+        ],
+    )
+    def test_input_error_is_one_line(self, capsys, argv, message):
+        # each of these used to end in a ZeroDivisionError traceback, or in
+        # a message about converting NaN to an integer
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"suppest: error: {message}\n"

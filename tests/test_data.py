@@ -230,18 +230,20 @@ class TestMakeDistribution:
         assert d.k == 10_000.0
 
     def test_zipf_integer_search(self):
-        d = make_distribution("zipf", 1e-4, alpha=1.0)
-        s = d.support
-        w = np.arange(1, s + 1, dtype=float) ** -1.0
-        assert w[-1] / w.sum() <= 1e-4
-        w_prev = np.arange(1, s, dtype=float) ** -1.0
-        assert w_prev[-1] / w_prev.sum() > 1e-4
+        def min_mass(m, alpha):
+            w = np.arange(1, m + 1, dtype=float) ** -alpha
+            return w[-1] / w.sum()
+
+        for alpha in (0.25, 0.5, 1.0, 1.5):
+            for target in (1e-2, 1e-3, 1e-4):
+                s = make_distribution("zipf", target, alpha=alpha).support
+                assert min_mass(s, alpha) <= target < min_mass(s - 1, alpha), (alpha, target)
 
     def test_benford_crossing(self):
-        d = make_distribution("benford", 1e-4)
-        s = d.support
         mass = lambda m: math.log1p(1.0 / m) / math.log(m + 1)
-        assert mass(s) <= 1e-4 < mass(s - 1)
+        for target in (1e-2, 1e-3, 1e-4):
+            s = make_distribution("benford", target).support
+            assert mass(s) <= target < mass(s - 1), target
 
     def test_probabilities_normalized(self):
         for kind, alpha in (("uniform", None), ("zipf", 0.5), ("benford", None)):
@@ -256,6 +258,12 @@ class TestMakeDistribution:
             make_distribution("zipf", 1e-3)
         with pytest.raises(ValueError):
             make_distribution("cauchy", 1e-3)
+        with pytest.raises(ValueError, match="positive alpha"):
+            make_distribution("zipf", 1e-3, alpha=math.nan)
+        # 2**-alpha underflows: symbol 2 would have mass 0
+        for alpha in (2000.0, math.inf):
+            with pytest.raises(ValueError, match=f"zipf exponent {alpha:g} is too large"):
+                make_distribution("zipf", 1e-3, alpha=alpha)
 
 
 class TestSampling:

@@ -14,12 +14,8 @@ from suppest.estimators import (
     rwc_coefficients,
     rwcs_coefficients,
 )
-from suppest.harness import (
-    bias_curve,
-    bias_curve_to_csv,
-    evaluate_risk,
-    grid_convergence_study,
-)
+from suppest.harness import evaluate_risk, grid_convergence_study
+from suppest.cli import main
 from suppest.poly import Polynomial, objective_values
 from suppest.sip import MAX_ITER, IntervalSpec, build_grid, localized_interval
 
@@ -162,6 +158,34 @@ class TestEvaluateRisk:
         assert wy.mean == naive.mean
 
 
+class TestBiasCurve:
+    """The bias curve is `objective_values` over the points of `build_grid`."""
+
+    def test_bias_zero_at_root(self):
+        lams = build_grid(IntervalSpec(1.0, 2.0), 11).points
+        _, bias, _ = objective_values(Polynomial((-1.0, 1.0)), lams, 0.1)
+        assert bias[0] == pytest.approx(0.0, abs=1e-15)
+        for lam, b in zip(lams, bias):
+            assert b == pytest.approx(math.exp(-lam) * (lam - 1.0), rel=1e-12, abs=1e-15)
+
+    def test_two_points(self):
+        lams = build_grid(IntervalSpec(1.0, 3.0), 2).points
+        assert list(lams) == [1.0, 3.0]
+        assert all(len(v) == 2 for v in objective_values(Polynomial((-1.0,)), lams, 0.1))
+
+    def test_degenerate_interval(self):
+        lams = build_grid(IntervalSpec(2.0, 2.0), 5).points
+        assert list(lams) == [2.0]
+        assert all(len(v) == 1 for v in objective_values(Polynomial((-1.0,)), lams, 0.1))
+
+    def test_csv_header(self, capsys):
+        code = main(["bias-curve", "--k", "1e4", "--n", "1e4", "--points", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "lambda,bias,variance_term,g"
+        assert len(lines) == 4
+
+
 class TestGridConvergenceStudy:
     def test_monotone_and_rate(self):
         spec = EstimatorSpec("rwc", tol=1e-10)
@@ -196,30 +220,3 @@ class TestGridConvergenceStudy:
         t_d = rwc_coefficients(4, 4, EstimatorSpec("rwc")).t_d
         assert [(r.s, r.d, r.t_d) for r in report.rows] == [(11, 0.0, t_d), (21, 0.0, t_d)]
         assert report.rate_exponent is None
-
-
-class TestBiasCurve:
-    def test_bias_zero_at_root(self):
-        rows = bias_curve(Polynomial((-1.0, 1.0)), IntervalSpec(1.0, 2.0), 11)
-        assert rows[0]["bias"] == pytest.approx(0.0, abs=1e-15)
-        for r in rows:
-            lam = r["lambda"]
-            assert r["bias"] == pytest.approx(math.exp(-lam) * (lam - 1.0), rel=1e-12, abs=1e-15)
-
-    def test_two_points(self):
-        rows = bias_curve(Polynomial((-1.0,)), IntervalSpec(1.0, 3.0), 2)
-        assert [r["lambda"] for r in rows] == [1.0, 3.0]
-
-    def test_degenerate_interval(self):
-        rows = bias_curve(Polynomial((-1.0,)), IntervalSpec(2.0, 2.0), 5)
-        assert len(rows) == 1
-
-    def test_points_validation(self):
-        with pytest.raises(ValueError):
-            bias_curve(Polynomial((-1.0,)), IntervalSpec(1.0, 2.0), 1)
-
-    def test_csv_header(self):
-        rows = bias_curve(Polynomial((-1.0,)), IntervalSpec(1.0, 2.0), 3)
-        csv = bias_curve_to_csv(rows)
-        assert csv.splitlines()[0] == "lambda,bias,variance_term,g"
-        assert len(csv.splitlines()) == 4

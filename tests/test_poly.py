@@ -134,9 +134,12 @@ class TestObjectiveG:
         assert g[0] == pytest.approx(0.172123, abs=1e-6)
 
     def test_zero_bias_at_root(self):
-        var, bias, g = objective_values(Polynomial((-1.0, 1.0)), np.array([1.0]), 0.0)
+        lams = np.linspace(1.0, 2.0, 11)
+        var, bias, g = objective_values(Polynomial((-1.0, 1.0)), lams, 0.0)
         assert bias[0] == 0.0
         assert g[0] == 0.0
+        for lam, b in zip(lams, bias):
+            assert b == pytest.approx(math.exp(-lam) * (lam - 1.0), rel=1e-12, abs=1e-15)
 
     def test_large_rate_no_overflow(self):
         var, bias, g = objective_values(Polynomial((-1.0,)), np.array([700.0]), 5.0)

@@ -239,6 +239,12 @@ class TestSupportedDomain:
             with pytest.raises((NonConvergenceError, RankDeficiencyError)):
                 _weighted_solve(kind, k, 1.0)
 
+    def test_underflow_at_large_n_over_k(self):
+        # the grid is the point n/k = 800, where exp(-800) underflows to 0;
+        # the zero column must raise, not be divided by (warnings are errors)
+        with pytest.raises(RankDeficiencyError, match="underflow"):
+            rwc_coefficients(1000, 8e5, EstimatorSpec("rwc"))
+
 
 class TestExactCertificate:
     @pytest.mark.parametrize(
