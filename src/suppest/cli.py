@@ -11,13 +11,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from . import data as data_mod
 from . import estimators as est_mod
 from . import harness as harness_mod
-from .estimators import CoverageZeroError, IntervalCollapseError
+from .estimators import CoverageZeroError, EstimatorSpec
 from .poly import g_values, objective_values
-from .sip import MAX_ITER, IntervalSpec, NonConvergenceError, RankDeficiencyError, build_grid
+from .sip import IntervalSpec, NonConvergenceError, RankDeficiencyError, build_grid
 
 DEFAULT_SUITE = ("uniform", "zipf:1.5", "zipf:1", "zipf:0.5", "zipf:0.25", "benford")
 
@@ -48,13 +49,13 @@ def _parse_dist(token: str) -> tuple:
     raise ValueError(f"unknown distribution {token!r} (use uniform, benford, or zipf:<alpha>)")
 
 
-def _add_solver_flags(p, wy=True):
-    p.add_argument("--c0", type=_finite, default=0.558, help="degree constant, L = floor(c0 ln k) (default 0.558)")
-    if wy:
-        p.add_argument("--c1", type=_finite, default=0.5, help="WY interval constant (default 0.5)")
-    p.add_argument("--s", type=int, default=1000, help="grid points for the discretized program (default 1000)")
-    p.add_argument("--tol", type=_finite, default=1e-8, help="solver duality-gap tolerance (default 1e-8)")
-    p.add_argument("--max-iter", type=int, default=MAX_ITER, help=f"solver interior-point iteration budget (default {MAX_ITER})")
+def _add_solver_flags(p, grid=True):
+    """The EstimatorSpec settings as flags; `converge` picks its own grids and solves rwc only."""
+    p.add_argument("--c0", type=_finite, default=EstimatorSpec.c0, help="degree constant, L = floor(c0 ln k) (default %(default)s)")
+    if grid:
+        p.add_argument("--c1", type=_finite, default=EstimatorSpec.c1, help="WY interval constant (default %(default)s)")
+        p.add_argument("--s", type=int, default=EstimatorSpec.s, help="grid points for the discretized program (default %(default)s)")
+    p.add_argument("--tol", type=_finite, default=EstimatorSpec.tol, help="solver duality-gap tolerance (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", default="rwc-s", help="comma-separated estimators: rwc,rwc-s,wy,gt,naive (default rwc-s)")
     p.add_argument("--k", type=_finite, default=None, help="upper bound on 1/min-mass (default: total sample size n)")
     p.add_argument("--clamp", action="store_true", help="clamp estimates into [naive count, k]")
-    p.add_argument("--fallback", action="store_true", help="fall back to naive counting on WY collapse / GT zero coverage")
+    p.add_argument("--fallback", dest="fallback_to_naive", action="store_true", help="fall back to naive counting on WY collapse / GT zero coverage")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_solver_flags(p)
 
@@ -88,11 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_solver_flags(p)
 
-    p = sub.add_parser("converge", help="grid-refinement convergence study")
+    # no abbreviations, or --s would be taken for --s-list
+    p = sub.add_parser("converge", help="grid-refinement convergence study", allow_abbrev=False)
     p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--s-list", default="11,21,41,81,161,5121", help="comma list of grid sizes, finest is the reference")
-    _add_solver_flags(p, wy=False)
+    _add_solver_flags(p, grid=False)
 
     p = sub.add_parser("bias-curve", help="export bias/variance/objective along the interval")
     p.add_argument("--k", type=_finite, required=True)
@@ -105,16 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args, kind: str) -> est_mod.EstimatorSpec:
-    return est_mod.EstimatorSpec(
-        kind=kind,
-        c0=args.c0,
-        c1=getattr(args, "c1", est_mod.EstimatorSpec.c1),
-        s=args.s,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        fallback_to_naive=getattr(args, "fallback", False),
-    )
+def _spec_from_args(args, kind: str) -> EstimatorSpec:
+    """The spec of `kind` with each field the command has a flag for; the rest keep their defaults."""
+    given = vars(args)
+    return EstimatorSpec(kind, **{f.name: given[f.name] for f in fields(EstimatorSpec) if f.name in given})
 
 
 def _cmd_estimate(args) -> int:
@@ -126,16 +122,15 @@ def _cmd_estimate(args) -> int:
     if not counts:
         raise data_mod.IngestionError("no counts" if args.counts else "input has no tokens")
     fp = data_mod.fingerprint(counts)
-    n = fp.n
     k_assumed = args.k is None
     if not k_assumed and args.k < fp.distinct:
         # k bounds 1/min-mass, which is at least the support
         raise ValueError(f"--k {args.k:g} is below the {fp.distinct} distinct symbols observed")
-    k = float(n) if k_assumed else args.k
+    k = float(fp.n) if k_assumed else args.k
     records = []
     for kind in args.estimator.split(","):
         spec = _spec_from_args(args, kind.strip())
-        result = est_mod.estimate(spec, fp, n, k)
+        result = est_mod.estimate(spec, fp, k)
         value = result.value
         if args.clamp:
             value = min(max(value, est_mod.naive_count(fp)), k)
@@ -143,7 +138,7 @@ def _cmd_estimate(args) -> int:
             {
                 "estimator": spec.kind,
                 "value": value,
-                "n": n,
+                "n": fp.n,
                 "k": k,
                 "k_assumed_equal_n": k_assumed,
                 **({"diagnostics": result.diagnostics} if result.diagnostics else {}),
@@ -193,7 +188,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(report.to_json_dict(), indent=2, allow_nan=False))
     return 0 if any(not r.error for r in report.rows) else 2
 
 
@@ -244,7 +239,7 @@ def main(argv=None) -> int:
     except (CoverageZeroError, NonConvergenceError, RankDeficiencyError) as exc:
         print(f"suppest: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (IntervalCollapseError, data_mod.IngestionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"suppest: error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,9 +62,8 @@ class Fingerprint:
         return sum(self.h.values())
 
 
-def tokenize_text(data) -> list[str]:
+def tokenize_text(text: str) -> list[str]:
     """Lowercase and split on anything that is not alphanumeric or apostrophe."""
-    text = _decode(0, data) if isinstance(data, bytes) else data
     return _TOKEN_RE.findall(text.lower().replace("_", " "))
 
 
@@ -125,33 +124,30 @@ def histogram_from_tokens(tokens) -> Counter:
     return Counter(tokens)
 
 
-def histogram_from_counts_file(source) -> dict:
-    """Symbol -> count from `symbol<TAB>count` lines (or bare counts, one symbol per line).
+def histogram_from_counts_file(path) -> dict:
+    """Symbol -> count from a UTF-8 file of `symbol<TAB>count` lines (or bare
+    counts, one symbol per line), split as by `str.splitlines`.
 
     A bare count on line N is keyed by the int N, which no str symbol equals.
-    `source` is a path to a UTF-8 file, whose lines are split as by
-    `str.splitlines`, or an iterable of lines.
     """
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "rb") as fh:
-            lines = (line for offset, raw in _blocks(fh, b"\n") for line in _decode(offset, raw).splitlines())
-            return histogram_from_counts_file(lines)
     counts = {}
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if "\t" in line:
-            sym, _, count_str = line.partition("\t")
-        else:
-            sym, count_str = lineno, line
-        try:
-            count = int(count_str.strip())
-        except ValueError:
-            raise IngestionError(f"line {lineno}: malformed count {count_str.strip()!r}") from None
-        if count <= 0:
-            raise IngestionError(f"line {lineno}: count must be positive, got {count}")
-        counts[sym] = counts.get(sym, 0) + count
+    with open(path, "rb") as fh:
+        lines = (line for offset, raw in _blocks(fh, b"\n") for line in _decode(offset, raw).splitlines())
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if "\t" in line:
+                sym, _, count_str = line.partition("\t")
+            else:
+                sym, count_str = lineno, line
+            try:
+                count = int(count_str.strip())
+            except ValueError:
+                raise IngestionError(f"line {lineno}: malformed count {count_str.strip()!r}") from None
+            if count <= 0:
+                raise IngestionError(f"line {lineno}: count must be positive, got {count}")
+            counts[sym] = counts.get(sym, 0) + count
     return counts
 
 
@@ -226,12 +222,6 @@ def child_seed(master: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
     """Per-symbol counts of n i.i.d. draws, by inverse CDF over the cumulative
     weights; deterministic given (seed, n, dist)."""
@@ -239,10 +229,13 @@ def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
         raise ValueError("n must be >= 0")
     if n == 0:
         return np.zeros(dist.support, dtype=np.int64)
-    rng = _generator(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
-    u = rng.random(n)
+    try:
+        u = rng.random(n)
+    except (ValueError, MemoryError) as exc:  # numpy's "Maximum allowed dimension exceeded", or no memory
+        raise ValueError(f"sample size n = {n:.6g} is too large to draw") from exc
     idx = np.searchsorted(cum, u, side="right")
     return np.bincount(idx, minlength=dist.support)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Fingerprint
 from .poly import Polynomial, g_values, shifted_cheb_coeffs
-from .sip import MAX_ITER, SipProblem, SolveResult, build_grid, localized_interval, solve
+from .sip import TOL, SipProblem, SolveResult, build_grid, localized_interval, solve
 
 KINDS = ("rwc", "rwc-s", "wy", "gt", "naive")
 
@@ -36,8 +36,7 @@ class EstimatorSpec:
     c0: float = 0.558
     c1: float = 0.5
     s: int = 1000
-    tol: float = 1e-8
-    max_iter: int = MAX_ITER
+    tol: float = TOL
     fallback_to_naive: bool = False
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class EstimatorSpec:
             raise ValueError("c0 and c1 must be positive")
         if self.s < 2:
             raise ValueError("grid size s must be >= 2")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,14 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def degree_for(k: float, c0: float = 0.558) -> int:
+def degree_for(k: float, c0: float = EstimatorSpec.c0) -> int:
     """L = floor(c0 * ln k); natural logarithm throughout."""
     if k < 2:
         raise ValueError("k must be >= 2")
     return int(math.floor(c0 * math.log(k)))
 
 
-def wy_coefficients(k: float, n: float, c0: float = 0.558, c1: float = 0.5) -> Polynomial:
+def wy_coefficients(k: float, n: float, c0: float = EstimatorSpec.c0, c1: float = EstimatorSpec.c1) -> Polynomial:
     """Shifted Chebyshev coefficients on [n/k, c1 ln k] with L = floor(c0 ln k)."""
     degree = degree_for(k, c0)
     lo = n / k
@@ -84,7 +81,7 @@ def _solve_weighted(
     """Solve with variance weight 1 / count, after degree_for has rejected k < 2."""
     degree = degree_for(k, spec.c0)
     problem = SipProblem(degree, build_grid(localized_interval(n, k, degree), spec.s), 1.0 / count)
-    return solve(problem, tol=spec.tol, max_iter=spec.max_iter, init_weights=init_weights)
+    return solve(problem, tol=spec.tol, init_weights=init_weights)
 
 
 def rwc_coefficients(k: float, n: float, spec: EstimatorSpec) -> SolveResult:
@@ -118,11 +115,12 @@ def apply_poly_estimator(fp: Fingerprint, p: Polynomial) -> float:
 
 def naive_count(fp: Fingerprint) -> float:
     """Number of distinct observed symbols."""
-    return float(sum(fp.h.values()))
+    return float(fp.distinct)
 
 
-def good_turing(fp: Fingerprint, n: int) -> float:
+def good_turing(fp: Fingerprint) -> float:
     """Naive count divided by the estimated coverage 1 - h1/n."""
+    n = fp.n
     if n < 1:
         raise ValueError("n must be >= 1")
     h1 = fp.h.get(1, 0)
@@ -131,13 +129,15 @@ def good_turing(fp: Fingerprint, n: int) -> float:
     return naive_count(fp) / (1.0 - h1 / n)
 
 
-def estimate(spec: EstimatorSpec, fp: Fingerprint, n: int, k: float) -> EstimateResult:
-    """Dispatch to the requested estimator and apply it to the fingerprint."""
+def estimate(spec: EstimatorSpec, fp: Fingerprint, k: float) -> EstimateResult:
+    """Dispatch to the requested estimator and apply it to the fingerprint;
+    the sample size n is fp.n."""
+    n = fp.n
     if spec.kind == "naive":
         return EstimateResult(naive_count(fp))
     try:
         if spec.kind == "gt":
-            return EstimateResult(good_turing(fp, n))
+            return EstimateResult(good_turing(fp))
         if spec.kind == "wy":
             return EstimateResult(apply_poly_estimator(fp, wy_coefficients(k, n, spec.c0, spec.c1)))
     except (CoverageZeroError, IntervalCollapseError):

@@ -69,7 +69,11 @@ class RiskReport:
         return out.getvalue()
 
     def to_json_dict(self) -> list[dict]:
-        return [asdict(r) for r in self.rows]
+        """Rows as dicts; a non-finite float, such as a failed row's NaN, becomes None (JSON null)."""
+        return [
+            {key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in asdict(r).items()}
+            for r in self.rows
+        ]
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def _cell_estimates(spec, dist, n, fps, cache) -> list[float]:
     """
     k = dist.k
     if spec.kind not in ("rwc", "rwc-s"):
-        return [est_mod.estimate(spec, fp, n, k).value for fp in fps]
+        return [est_mod.estimate(spec, fp, k).value for fp in fps]
     counts = [est_mod.naive_count(fp) if spec.kind == "rwc-s" else None for fp in fps]
     weights = None
     for s_c in sorted(set(counts)):

@@ -33,6 +33,9 @@ LOCALIZATION_FACTOR = 6.5
 # the supported domain needs.
 MAX_ITER = 100
 
+# Certified duality-gap tolerance of a solve.
+TOL = 1e-8
+
 
 class InvalidGridError(ValueError):
     pass
@@ -251,16 +254,11 @@ def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveR
     return SolveResult(problem, coeffs, t_d, max(t_d - q, 0.0), iterations, w)
 
 
-def solve(
-    problem: SipProblem,
-    tol: float = 1e-8,
-    max_iter: int = MAX_ITER,
-    init_weights: np.ndarray | None = None,
-) -> SolveResult:
+def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None = None) -> SolveResult:
     """Minimize the grid maximum of g with a certified duality gap <= tol.
 
     Mehrotra predictor-corrector on min t s.t. h_i(b) + slack_i = t, slack,
-    z >= 0; `max_iter` bounds its iterations.  Every iterate's duals, scaled
+    z >= 0, for at most MAX_ITER iterations.  Every iterate's duals, scaled
     to the simplex, give an exact lower bound q(w), so the result's
     duality_gap = t_d - q(w) is a true certificate.  `init_weights` seeds the
     duals (uniform when omitted); the optimum is unique, so different
@@ -279,8 +277,6 @@ def solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     data = _QuadData(problem)
     s = problem.grid.s
 
@@ -317,7 +313,7 @@ def solve(
                 return result
         if best is None or gap < best[0]:
             best = (gap, b, w, q)
-        if iterations == max_iter:
+        if iterations == MAX_ITER:
             break
         iterations += 1
 

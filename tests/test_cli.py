@@ -1,13 +1,8 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import suppest
 from suppest import data as data_mod
 from suppest.cli import main
 from suppest.estimators import EstimatorSpec, estimate
@@ -95,7 +90,7 @@ class TestEstimate:
         code, out, _ = run(capsys, "estimate", str(path), "--estimator", "rwc-s,naive")
         assert code == 0
         fp = data_mod.fingerprint(data_mod.histogram_from_tokens(data_mod.tokenize_text(whole)))
-        expected = [estimate(EstimatorSpec(kind), fp, fp.n, fp.n).value for kind in ("rwc-s", "naive")]
+        expected = [estimate(EstimatorSpec(kind), fp, fp.n).value for kind in ("rwc-s", "naive")]
         assert [rec["value"] for rec in json.loads(out)] == expected
 
     def test_missing_file(self, capsys):
@@ -176,18 +171,6 @@ class TestCoeffs:
         assert payload["grid_points"] == grid_points
         assert len(payload["coeffs"]) == len(payload["g_values"]) == degree + 1
 
-    def test_negative_max_iter_exit_1(self):
-        # a negative budget used to spin forever; run it in a child so a hang fails
-        env = {**os.environ, "PYTHONPATH": str(Path(suppest.__file__).parents[1])}
-        argv = ["coeffs", "--k", "1e16", "--n", "1e13", "--max-iter", "-1"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "suppest.cli", *argv],
-            capture_output=True, text=True, timeout=10, env=env,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "max_iter must be >= 0" in proc.stderr
-
     def test_rwcs_needs_count(self, capsys):
         code, _, err = run(capsys, "coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "rwc-s")
         assert code == 1
@@ -243,6 +226,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--dist", "cauchy", "--trials", "1")
         assert code == 1
 
+    def test_failed_row_json_is_valid(self, capsys):
+        # a trial that draws both symbols once has Good-Turing coverage 0
+        code, out, _ = run(
+            capsys, "simulate", "--dist", "uniform", "--min-mass", "0.5", "--trials", "2",
+            "--estimators", "gt", "--format", "json",
+        )
+        assert code == 2
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        (row,) = json.loads(out, parse_constant=reject)
+        assert row["error"].startswith("CoverageZeroError")
+        assert [row[key] for key in ("mean", "std", "mse", "nmse_k2", "nmse_s2")] == [None] * 5
+
 
 class TestConverge:
     def test_monotone_column(self, capsys):
@@ -263,12 +261,22 @@ class TestConverge:
         assert code == 0
         assert "rate_exponent=NA" in out
 
-    def test_no_c1_flag(self, capsys):
-        # the study solves rwc problems only, which never read c1
-        code, out, err = run(capsys, "converge", "--k", "1e4", "--n", "1e4", "--s-list", "11", "--c1", "0.7")
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # the study solves rwc problems only, which never read c1
+            (("converge", "--k", "1e4", "--n", "1e4", "--s-list", "11", "--c1", "0.7"), "--c1"),
+            # it solves each --s-list size, so nothing would read --s
+            (("converge", "--k", "1e4", "--n", "1e4", "--s-list", "11", "--s", "7"), "--s"),
+            # the iteration budget is the constant sip.MAX_ITER
+            (("coeffs", "--k", "1e4", "--n", "1e4", "--max-iter", "5"), "--max-iter"),
+        ],
+    )
+    def test_no_c1_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "--c1" in err
+        assert f"unrecognized arguments: {flag} " in err
 
 
 class TestBiasCurve:
@@ -345,6 +353,10 @@ class TestParsing:
             ((*SIMULATE, "zipf:inf"), "zipf exponent must be a finite number, got 'zipf:inf'"),
             ((*SIMULATE, "zipf:nan"), "zipf exponent must be a finite number, got 'zipf:nan'"),
             ((*SIMULATE, "zipf:2000"), "zipf exponent 2000 is too large: the smallest mass underflows"),
+            # about 1e301 draws, past numpy's largest array dimension
+            ((*SIMULATE, "zipf:1000"), "sample size n = 1.07151e+301 is too large to draw"),
+            # 1e16 draws, a 71 PiB array, far more memory than a machine has: the allocation fails at once
+            ((*SIMULATE, "uniform", "--n-frac", "1e12"), "sample size n = 1e+16 is too large to draw"),
         ],
     )
     def test_input_error_is_one_line(self, capsys, argv, message):

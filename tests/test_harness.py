@@ -17,7 +17,7 @@ from suppest.estimators import (
 from suppest.harness import evaluate_risk, grid_convergence_study
 from suppest.cli import main
 from suppest.poly import Polynomial, objective_values
-from suppest.sip import MAX_ITER, IntervalSpec, build_grid, localized_interval
+from suppest.sip import IntervalSpec, build_grid, localized_interval
 
 
 class TestEvaluateRisk:
@@ -26,7 +26,7 @@ class TestEvaluateRisk:
         spec = EstimatorSpec("naive")
         report = evaluate_risk([spec], [dist], [0.5], trials=1, seed=3)
         fp = sample_fingerprint(dist, 50, child_seed(3, 0, 0, 0))
-        expected = estimate(spec, fp, 50, dist.k).value
+        expected = estimate(spec, fp, dist.k).value
         row = report.rows[0]
         assert row.n == 50
         assert row.mean == expected
@@ -138,14 +138,20 @@ class TestEvaluateRisk:
         with pytest.raises(ValueError):
             report.worst_case("naive", "s3")
 
-    def test_cache_key_includes_max_iter(self):
-        # a starved spec must not reuse a converged spec's coefficients
+    def test_cache_key_includes_grid_size(self, monkeypatch):
+        # a coarse-grid spec must not reuse the default spec's coefficients
+        grid_sizes = []
+
+        def counted(k, n, spec):
+            result = rwc_coefficients(k, n, spec)
+            grid_sizes.append(result.problem.grid.s)
+            return result
+
+        monkeypatch.setattr(harness.est_mod, "rwc_coefficients", counted)
         dist = make_distribution("uniform", 1e-3)
-        specs = [EstimatorSpec("rwc", max_iter=MAX_ITER), EstimatorSpec("rwc", max_iter=1)]
-        report = evaluate_risk(specs, [dist], [1.0], trials=2, seed=0)
-        full, starved = report.rows
-        assert full.error == ""
-        assert starved.error.startswith("NonConvergenceError")
+        report = evaluate_risk([EstimatorSpec("rwc"), EstimatorSpec("rwc", s=50)], [dist], [1.0], trials=2, seed=0)
+        assert sorted(grid_sizes) == [50, 1000]
+        assert all(row.error == "" for row in report.rows)
 
     def test_wy_fallback_to_naive(self):
         # n/k = 5 > c1 ln k: the WY interval collapses and the spec falls back

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from suppest import sip
 from suppest.estimators import EstimatorSpec, degree_for, rwc_coefficients, rwcs_coefficients
 from suppest.poly import objective_values
 from suppest.sip import (
@@ -144,18 +145,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(_standard_problem(), init_weights=np.ones(3))
 
-    def test_negative_max_iter(self):
-        # the budget test is iterations == max_iter, which a negative budget never meets
-        with pytest.raises(ValueError, match="max_iter"):
-            solve(_standard_problem(), max_iter=-1)
-
-    def test_result_carries_problem(self):
+    def test_result_carries_problem(self, monkeypatch):
         degree_zero = SipProblem(0, build_grid(IntervalSpec(2.0, 10.0), 5), 0.3)
         for p in (_standard_problem(s=11), degree_zero):
             assert solve(p).problem is p
         p = _standard_problem(s=11)
+        monkeypatch.setattr(sip, "MAX_ITER", 0)
         with pytest.raises(NonConvergenceError) as info:
-            solve(p, max_iter=0)
+            solve(p)
         assert info.value.best.problem is p
 
 
