@@ -8,7 +8,6 @@ from .data import (
     histogram_from_text,
     histogram_from_tokens,
     make_distribution,
-    sample,
     sample_fingerprint,
     tokenize_text,
 )

@@ -8,6 +8,7 @@ failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,11 +59,18 @@ def _add_solver_flags(p, grid=True):
     p.add_argument("--tol", type=_finite, default=EstimatorSpec.tol, help="solver duality-gap tolerance (default %(default)s)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call of a process: argparse
+    leaves reference cycles (a help formatter per argument), so a parser
+    built per call stays in memory until a full collection, and repeated
+    in-process calls grow memory."""
     parser = argparse.ArgumentParser(prog="suppest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a mistyped or removed flag must not select another one
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("estimate", help="estimate support size from a text or counts file")
+    p = add_parser("estimate", help="estimate support size from a text or counts file")
     p.add_argument("input", help="input file (UTF-8 text, or counts with --counts)")
     p.add_argument("--counts", action="store_true", help="input is a symbol<TAB>count file")
     p.add_argument("--estimator", default="rwc-s", help="comma-separated estimators: rwc,rwc-s,wy,gt,naive (default rwc-s)")
@@ -72,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_solver_flags(p)
 
-    p = sub.add_parser("coeffs", help="dump estimator coefficients for a (k, n) pair")
+    p = add_parser("coeffs", help="dump estimator coefficients for a (k, n) pair")
     p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--estimator", choices=("rwc", "rwc-s", "wy"), default="rwc")
     p.add_argument("--s-count", type=_finite, default=None, help="counting estimate for the rwc-s regularizer")
     _add_solver_flags(p)
 
-    p = sub.add_parser("simulate", help="risk sweep over synthetic distributions")
+    p = add_parser("simulate", help="risk sweep over synthetic distributions")
     p.add_argument("--dist", default=",".join(DEFAULT_SUITE), help="comma list: uniform, benford, zipf:<alpha> (default: the six-distribution suite)")
     p.add_argument("--min-mass", type=_finite, default=1e-4, help="target minimum probability mass (default 1e-4)")
     p.add_argument("--n-frac", type=lambda text: [_finite(x) for x in text.split(",")], default="1.0", help="comma list of sample sizes as fractions of k (default 1.0)")
@@ -89,14 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_solver_flags(p)
 
-    # no abbreviations, or --s would be taken for --s-list
-    p = sub.add_parser("converge", help="grid-refinement convergence study", allow_abbrev=False)
+    p = add_parser("converge", help="grid-refinement convergence study")
     p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--s-list", default="11,21,41,81,161,5121", help="comma list of grid sizes, finest is the reference")
     _add_solver_flags(p, grid=False)
 
-    p = sub.add_parser("bias-curve", help="export bias/variance/objective along the interval")
+    p = add_parser("bias-curve", help="export bias/variance/objective along the interval")
     p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--estimator", choices=("rwc", "wy"), default="rwc")

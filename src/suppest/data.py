@@ -224,27 +224,34 @@ def child_seed(master: int, *path: int) -> np.random.SeedSequence:
 
 def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
     """Per-symbol counts of n i.i.d. draws, by inverse CDF over the cumulative
-    weights; deterministic given (seed, n, dist)."""
+    weights cum; deterministic given (seed, n, dist).
+
+    A draw u goes to symbol #{i : cum[i] <= u}: symbol i gets the u with
+    cum[i-1] <= u < cum[i], and a tie u == cum[i] goes to symbol i + 1.  The
+    unit interval is cut into `cells` equal cells, a power of two not below
+    min(n, support), so u * cells and j / cells are exact and u lies in cell
+    trunc(u * cells).  A table of the number of cum values below each cell
+    gives every draw a lower bound of its symbol; one whole-array step up cum
+    settles most of the rest, and a binary search the draws still short.
+    Besides the O(support) of cum, the call makes fewer than 3n + 1 binary
+    searches (fewer than 2n + 1 for the table, at most n for short draws) and
+    holds about three n-sized arrays at once.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.zeros(dist.support, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
     try:
         u = rng.random(n)
+        cells = 1 << (max(min(n, dist.support), 1) - 1).bit_length()
+        idx = np.searchsorted(cum, np.arange(cells) / cells)[(u * cells).astype(np.intp)]
+        idx += cum[idx] <= u
+        short = np.flatnonzero(cum[idx] <= u)
+        idx[short] = np.searchsorted(cum, u[short], side="right")
     except (ValueError, MemoryError) as exc:  # numpy's "Maximum allowed dimension exceeded", or no memory
         raise ValueError(f"sample size n = {n:.6g} is too large to draw") from exc
-    idx = np.searchsorted(cum, u, side="right")
     return np.bincount(idx, minlength=dist.support)
-
-
-def sample(dist: DistributionSpec, n: int, seed) -> dict:
-    """Symbol index -> count of the symbols drawn at least once."""
-    counts = sample_counts(dist, n, seed)
-    nz = np.flatnonzero(counts)
-    return {int(i): int(counts[i]) for i in nz}
 
 
 def sample_fingerprint(dist: DistributionSpec, n: int, seed) -> Fingerprint:

@@ -9,11 +9,13 @@ b = a_1..a_L,
     h_i(b) = (V_i b - v0_i)^2 + M_i . b^2 + m0_i   (squared bias + variance),
 
 a convex program with L + 1 variables, by a Mehrotra predictor-corrector
-primal-dual interior-point method.  Each Newton system is (L+1) x (L+1),
-assembled in O(s L^2).  Every iterate yields a primal/dual pair and hence a
-true duality-gap certificate: for any simplex weights w,
+primal-dual interior-point method.  Every iterate yields a primal/dual pair
+and hence a true duality-gap certificate: for any simplex weights w,
 q(w) = min_b sum_i w_i h_i(b) lower-bounds the optimum, and it is evaluated
-through a Householder QR least-squares residual.
+through a Householder QR least-squares residual.  Each Newton system is
+(L+1) x (L+1) and is factored by one QR of s + L rows in O(s L^2): its
+quadratic block is 2 sum(z) times the aggregate matrix of the dual solve at
+w = z / sum(z), whose R factor that solve has just computed.
 """
 
 from __future__ import annotations
@@ -199,7 +201,8 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
     forming the normal equations (which lose digits at large L) and without
     a rank truncation (which would overstate q).  The aggregate matrix A^T A,
     equilibrated on its diagonal, must still admit a Cholesky factorization:
-    otherwise b*(w) is not determined in double precision.
+    otherwise b*(w) is not determined in double precision.  Returns b*(w),
+    q(w) and the L x L triangle R of A, for the next Newton step.
     """
     degree = data.degree
     s = len(w)
@@ -225,25 +228,25 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
             "aggregate matrix is not numerically positive definite; "
             "increase the grid size or use a smaller k"
         ) from None
-    return b, float(r[degree, degree] ** 2 + w @ data.m0)
+    return b, float(r[degree, degree] ** 2 + w @ data.m0), r_a
 
 
-def _newton_factor(data: _QuadData, b, res, z, slack):
+def _newton_factor(data: _QuadData, b, res, z, slack, r_a):
     """Gradients of the h_i at b and R with R^T R the Newton matrix in (b, t).
 
     The matrix is 2 sum_i z_i (V_i V_i^T + diag M_i) + sum_i (z_i/slack_i)
-    a_i a_i^T with a_i = (grad h_i, -1), i.e. B^T B for the stacked rows of
-    B below; a QR of B gives its factor without squaring its condition.
+    a_i a_i^T with a_i = (grad h_i, -1).  Its first term is 2 sum(z) A^T A for
+    the A of `_dual_solve` at w = z / sum(z), whose R is `r_a`; so it is B^T B
+    for B = [sqrt(2 sum z) r_a, 0; sqrt(z/slack) a_i^T], and a QR of these
+    s + L rows gives its factor without squaring its condition.
     """
     degree = data.degree
-    s = len(z)
     grad = 2.0 * (res[:, None] * data.V + data.M * b)
     sd = np.sqrt(z / slack)
-    rows = np.zeros((2 * s + degree, degree + 1))
-    rows[:s, :degree] = np.sqrt(2.0 * z)[:, None] * data.V
-    rows[np.arange(s, s + degree), np.arange(degree)] = np.sqrt(2.0 * (z @ data.M))
-    rows[s + degree :, :degree] = sd[:, None] * grad
-    rows[s + degree :, degree] = -sd
+    rows = np.zeros((degree + len(z), degree + 1))
+    rows[:degree, :degree] = np.sqrt(2.0 * z.sum()) * r_a
+    rows[degree:, :degree] = sd[:, None] * grad
+    rows[degree:, degree] = -sd
     return grad, np.linalg.qr(rows, mode="r")
 
 
@@ -298,7 +301,7 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
         return SolveResult(problem, Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual)
 
     degree = problem.degree
-    b, q = _dual_solve(data, w)
+    b, q, r_a = _dual_solve(data, w)
     h, res = data.values(b)
     z = w
     t = 2.0 * float(h.max()) - q  # max h plus the gap of the start
@@ -317,7 +320,7 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
             break
         iterations += 1
 
-        grad, r_fac = _newton_factor(data, b, res, z, slack)
+        grad, r_fac = _newton_factor(data, b, res, z, slack, r_a)
         d = z / slack
         r_x = np.append(z @ grad, 1.0 - z.sum())  # stationarity in (b, t)
         r_p = h - t + slack  # primal residual
@@ -326,8 +329,8 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
             """Step for the complementarity target slack_i dz_i + z_i dslack_i = r_c_i."""
             e = d * r_p + r_c / slack
             rhs = -(r_x + np.append(e @ grad, -e.sum()))
-            # R is nonsingular: its b columns contain sqrt(2 z) V, whose full
-            # rank _dual_solve has just checked, and the t column is -sqrt(d)
+            # R is nonsingular: its b columns contain the R of _dual_solve,
+            # which has just checked its full rank, and the t column is -sqrt(d)
             dx = np.linalg.solve(r_fac, np.linalg.solve(r_fac.T, rhs))
             dz = d * (grad @ dx[:degree] - dx[degree]) + e
             return dx, dz, (r_c - slack * dz) / z
@@ -349,7 +352,7 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
         slack = slack + alpha * dslack
         h, res = data.values(b)
         w = z / z.sum()
-        q = _dual_solve(data, w)[1]
+        _, q, r_a = _dual_solve(data, w)
 
     _, b, w, q = best
     result = _result(data, problem, b, w, q, iterations)

@@ -279,6 +279,28 @@ class TestConverge:
         assert f"unrecognized arguments: {flag} " in err
 
 
+class TestAbbreviations:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--est", "naive", "--trials", "2", "--min-mass", "0.01"),
+            ("estimate", "CORPUS", "--estim", "naive"),
+            ("coeffs", "--k", "1e4", "--n", "1e4", "--est", "wy"),
+            ("converge", "--k", "1e4", "--n", "1e4", "--s-l", "11"),
+            ("bias-curve", "--k", "1e4", "--n", "1e4", "--points", "5", "--est", "wy"),
+        ],
+    )
+    def test_abbreviated_flag_rejected(self, capsys, argv):
+        argv = [str(data_mod.bundled_corpus_path()) if a == "CORPUS" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: " in err
+        # the full spelling runs
+        full = {"--est": "--estimators" if argv[0] == "simulate" else "--estimator", "--estim": "--estimator", "--s-l": "--s-list"}
+        assert run(capsys, *[full.get(a, a) for a in argv])[0] == 0
+
+
 class TestBiasCurve:
     def test_wy_curve(self, capsys):
         code, out, _ = run(

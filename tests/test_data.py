@@ -20,7 +20,6 @@ from suppest.data import (
     histogram_from_text,
     histogram_from_tokens,
     make_distribution,
-    sample,
     sample_counts,
     sample_fingerprint,
     tokenize_text,
@@ -270,25 +269,74 @@ class TestMakeDistribution:
                 make_distribution("zipf", 1e-3, alpha=alpha)
 
 
+def search_counts(d, n, seed):
+    """The oracle: bin each draw u by searchsorted(cum, u, side="right")."""
+    cum = np.cumsum(d.probs)
+    cum[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(seed)).random(n)
+    return np.bincount(np.searchsorted(cum, u, side="right"), minlength=d.support)
+
+
 class TestSampling:
     def test_zero_draws(self):
         d = make_distribution("uniform", 0.2)
-        assert len(sample(d, 0, 1)) == 0
+        counts = sample_counts(d, 0, 1)
+        assert counts.shape == (d.support,)
+        assert not counts.any()
 
     def test_determinism(self):
         d = make_distribution("zipf", 1e-3, alpha=1.0)
-        a = sample(d, 500, 42)
-        b = sample(d, 500, 42)
-        assert a == b
-        c = sample(d, 500, 43)
-        assert a != c
+        a = sample_counts(d, 500, 42)
+        b = sample_counts(d, 500, 42)
+        assert np.array_equal(a, b)
+        c = sample_counts(d, 500, 43)
+        assert not np.array_equal(a, c)
 
     def test_child_seed_reproducible(self):
         d = make_distribution("uniform", 1e-2)
         s1 = child_seed(7, 0, 1, 2)
         s2 = child_seed(7, 0, 1, 2)
-        assert sample(d, 200, s1) == sample(d, 200, s2)
-        assert sample(d, 200, child_seed(7, 0, 1, 3)) != sample(d, 200, s1)
+        assert np.array_equal(sample_counts(d, 200, s1), sample_counts(d, 200, s2))
+        assert not np.array_equal(sample_counts(d, 200, child_seed(7, 0, 1, 3)), sample_counts(d, 200, s1))
+
+    @pytest.mark.parametrize(
+        "kind, alpha", [("uniform", None), ("zipf", 1.5), ("zipf", 1.0), ("zipf", 0.5), ("zipf", 0.25), ("benford", None)]
+    )
+    def test_matches_search_of_unsorted_draws(self, kind, alpha):
+        d = make_distribution(kind, 1e-3, alpha=alpha)
+        # n = k / 10 leaves several cum values in some cells of the search table
+        for trial, n in enumerate([int(d.k) // 10, int(d.k), int(d.k), 10 * int(d.k)]):
+            seed = child_seed(11, trial)
+            assert np.array_equal(sample_counts(d, n, seed), search_counts(d, n, seed))
+
+    def test_matches_search_in_crowded_cells(self):
+        # zipf(3) at k = 1e9 and n = k / 1e6: the top cell holds hundreds of cum values
+        d = make_distribution("zipf", 1e-9, alpha=3.0)
+        for trial in range(3):
+            seed = child_seed(12, trial)
+            assert np.array_equal(sample_counts(d, 1000, seed), search_counts(d, 1000, seed))
+
+    def test_tie_rule(self, monkeypatch):
+        # a draw equal to cum[i] belongs to symbol i + 1, and its predecessor to symbol i
+        d = make_distribution("benford", 0.05)
+        cum = np.cumsum(d.probs)
+        cum[-1] = 1.0
+        u = np.concatenate([[0.0], cum[:-1], np.nextafter(cum, 0.0)])
+        np.random.default_rng(0).shuffle(u)
+        oracle = np.bincount(np.searchsorted(cum, u, side="right"), minlength=d.support)
+
+        class Draws:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, n):
+                assert n == len(u)
+                return u.copy()
+
+        monkeypatch.setattr(np.random, "Generator", Draws)
+        counts = sample_counts(d, len(u), 0)
+        assert np.array_equal(counts, oracle)
+        assert (counts == 2).all()
 
     def test_uniform_concentration(self):
         d = make_distribution("uniform", 0.2)
@@ -311,12 +359,13 @@ class TestSampling:
     def test_fingerprint_shortcut_matches(self):
         d = make_distribution("zipf", 1e-3, alpha=1.0)
         seed = child_seed(5, 0)
-        assert sample_fingerprint(d, 300, seed) == fingerprint(sample(d, 300, seed))
+        counts = sample_counts(d, 300, seed)
+        assert sample_fingerprint(d, 300, seed) == fingerprint({i: int(c) for i, c in enumerate(counts) if c})
 
     def test_negative_n(self):
         d = make_distribution("uniform", 0.2)
         with pytest.raises(ValueError):
-            sample(d, -1, 0)
+            sample_counts(d, -1, 0)
 
 
 class TestBundledCorpus:

@@ -15,6 +15,8 @@ from suppest.sip import (
     NonConvergenceError,
     RankDeficiencyError,
     SipProblem,
+    _dual_solve,
+    _newton_factor,
     _QuadData,
     build_grid,
     certify,
@@ -154,6 +156,24 @@ class TestSolve:
         with pytest.raises(NonConvergenceError) as info:
             solve(p)
         assert info.value.best.problem is p
+
+    def test_newton_factor_reuses_dual_r(self):
+        # rwc at k = 1e12, n = 1e11: R^T R equals the Newton matrix assembled term by term
+        k, n = 1e12, 1e11
+        degree = degree_for(k)
+        problem = SipProblem(degree, build_grid(localized_interval(n, k, degree), 1000), 1.0 / k)
+        data = _QuadData(problem)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0.5, 2.0, 1000) / 300.0
+        slack = rng.uniform(0.1, 1.0, 1000)
+        b, _, r_a = _dual_solve(data, z / z.sum())
+        _, res = data.values(b)
+        grad, r_fac = _newton_factor(data, b, res, z, slack, r_a)
+        a = np.hstack([grad, -np.ones((1000, 1))])
+        explicit = (a * (z / slack)[:, None]).T @ a
+        explicit[:degree, :degree] += 2.0 * ((data.V * z[:, None]).T @ data.V + np.diag(z @ data.M))
+        err = np.linalg.norm(r_fac.T @ r_fac - explicit) / np.linalg.norm(explicit)
+        assert err <= 1e-10
 
 
 class TestCertify:
