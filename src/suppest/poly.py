@@ -8,8 +8,8 @@ and the objective
                    + (exp(-lambda) * P(lambda, a))^2
 
 whose max over an interval of Poisson rates the solver minimizes.  The
-variance summands are assembled in the log domain so that large rates never
-overflow.
+variance sum is evaluated by Horner's rule and, past the rates where
+exp(-lambda) underflows, multiplied by it in the log domain.
 """
 
 from __future__ import annotations
@@ -95,15 +95,25 @@ def objective_values(
         raise ValueError(f"reg_weight must be >= 0, got {reg_weight}")
     coeffs = np.asarray(p.coeffs)
     degree = len(coeffs) - 1
-    log_lam = np.log(lams)
-    ells = np.arange(degree + 1)
-    # (npoints, L+1) log-domain variance summands
-    log_terms = np.outer(log_lam, ells) + _log_factorials(degree) - lams[:, None]
-    var = reg_weight * np.exp(log_terms) @ (coeffs * coeffs)
+    # sum_l a_l^2 l! lam^l by Horner's rule: its terms are nonnegative, so the
+    # sum has no cancellation and a relative error of about (L+1) eps
+    weights = coeffs * coeffs * np.cumprod(np.r_[1.0, np.arange(1.0, degree + 1)])
+    total = np.zeros_like(lams)
+    for c in weights[::-1]:
+        total = total * lams + c
+    # past lam = 708 exp(-lam) is subnormal, and past 745 it is 0 while the sum
+    # is not; there the product is formed in the log domain (log 0 is -inf)
+    decay = np.exp(-lams)
+    var = decay * total
+    far = lams > 700.0
+    if far.any():
+        with np.errstate(divide="ignore"):
+            var[far] = np.exp(np.log(total[far]) - lams[far])
+    var *= reg_weight
     poly = np.zeros_like(lams)
     for c in coeffs[::-1]:
         poly = poly * lams + c
-    bias = np.exp(-lams) * poly
+    bias = decay * poly
     return var, bias, var + bias * bias
 
 

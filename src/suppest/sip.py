@@ -12,10 +12,18 @@ a convex program with L + 1 variables, by a Mehrotra predictor-corrector
 primal-dual interior-point method.  Every iterate yields a primal/dual pair
 and hence a true duality-gap certificate: for any simplex weights w,
 q(w) = min_b sum_i w_i h_i(b) lower-bounds the optimum, and it is evaluated
-through a Householder QR least-squares residual.  Each Newton system is
-(L+1) x (L+1) and is factored by one QR of s + L rows in O(s L^2): its
-quadratic block is 2 sum(z) times the aggregate matrix of the dual solve at
-w = z / sum(z), whose R factor that solve has just computed.
+through a Householder QR least-squares residual.  The minimizer b*(w) itself
+is solved for only at the start point; later iterates move the primal b.
+Each Newton system is (L+1) x (L+1) and is factored by one QR of s + L rows
+in O(s L^2): its quadratic block is 2 sum(z) times the aggregate matrix of
+the dual solve at w = z / sum(z), whose R factor that solve has just
+computed.  One inverse of the Newton triangle serves both the predictor and
+the corrector.
+
+At s = 1000 an iteration costs numpy call overhead and memory traffic more
+than arithmetic.  So the per-point data is stored (L, s), one contiguous row
+per coefficient, and both QR inputs are filled as C-ordered transposes: the
+Fortran-ordered matrices LAPACK reads without numpy's reordering copy.
 """
 
 from __future__ import annotations
@@ -160,94 +168,117 @@ def build_grid(interval: IntervalSpec, s: int) -> GridSpec:
 class _QuadData:
     """Per-grid-point data of the constraint functions of b = a_1..a_L.
 
-    h_i(b) = (V_i b - v0_i)^2 + M_i . b^2 + m0_i: the squared bias plus the
+    h_i(b) = (b . V_i - v0_i)^2 + b^2 . M_i + m0_i: the squared bias plus the
     variance term at rate lam_i.  The variables are rescaled, b_l -> b_l mu^l
-    with mu half the right endpoint, which keeps the Vandermonde-like columns
-    of V well conditioned.
+    with mu half the right endpoint, which keeps the Vandermonde-like rows of V
+    well conditioned.  V and M are stored (L, s), one contiguous row per
+    coefficient, so every product with them runs along the grid.
     """
 
     def __init__(self, problem: SipProblem):
         lams = problem.grid.points
         degree = problem.degree
         self.degree = degree
+        self.interval = problem.grid.interval
         self.mu = max(problem.grid.interval.hi / 2.0, problem.grid.interval.lo)
         ells = np.arange(degree + 1)
         log_lam = np.log(lams)
         log_mu = math.log(self.mu)
         # scaled exp(-lam) * (lam/mu)^l
-        v = np.exp(np.outer(log_lam - log_mu, ells) - lams[:, None])
+        v = np.exp(np.outer(ells, log_lam - log_mu) - lams)
         # scaled variance diagonal: reg * exp(-lam) * lam^l l! / mu^(2l)
         m = problem.reg_weight * np.exp(
-            np.outer(log_lam - 2.0 * log_mu, ells) + _log_factorials(degree) - lams[:, None]
+            np.outer(ells, log_lam - 2.0 * log_mu) + _log_factorials(degree)[:, None] - lams
         )
-        self.v0, self.V = v[:, 0], v[:, 1:]
-        self.m0, self.M = m[:, 0], m[:, 1:]
+        self.v0, self.V = v[0], v[1:]
+        self.m0, self.M = m[0], m[1:]
 
     def values(self, b: np.ndarray):
-        """Constraint values h and bias residuals V b - v0 at b."""
-        res = self.V @ b - self.v0
-        return res * res + self.M @ (b * b) + self.m0, res
+        """Constraint values h and bias residuals b . V - v0 at b."""
+        res = b @ self.V - self.v0
+        return res * res + (b * b) @ self.M + self.m0, res
 
     def unscale(self, b: np.ndarray) -> Polynomial:
         return Polynomial((-1.0, *(b / self.mu ** np.arange(1, self.degree + 1))))
 
 
 def _dual_solve(data: _QuadData, w: np.ndarray):
-    """Exact inner minimization: b*(w) and the dual value q(w).
+    """Exact inner minimization: the dual value q(w) and the triangle that fixes b*(w).
 
     q(w) - w.m0 is the least-squares residual of A b ~ y with
-    A = [sqrt(w) V; diag(sqrt(M^T w))] and y = [sqrt(w) v0; 0].  A Householder
+    A = [sqrt(w) V^T; diag(sqrt(M w))] and y = [sqrt(w) v0; 0].  A Householder
     QR of [A y] leaves the residual norm in its last diagonal entry, without
     forming the normal equations (which lose digits at large L) and without
     a rank truncation (which would overstate q).  The aggregate matrix A^T A,
     equilibrated on its diagonal, must still admit a Cholesky factorization:
-    otherwise b*(w) is not determined in double precision.  Returns b*(w),
-    q(w) and the L x L triangle R of A, for the next Newton step.
+    otherwise b*(w) is not determined in double precision.  [A y] is filled
+    as its transpose in C order, which is the Fortran-ordered matrix LAPACK
+    takes without a copy.  Returns q(w) and the (L+1) x (L+1) triangle R of
+    [A y]: its leading L x L block is the R of A, for the next Newton step,
+    and b*(w) solves R[:L, :L] b = R[:L, L], which `solve` does only at its
+    start point.
     """
     degree = data.degree
     s = len(w)
     sw = np.sqrt(w)
-    aug = np.zeros((s + degree, degree + 1))
-    aug[:s, :degree] = sw[:, None] * data.V
-    aug[:s, degree] = sw * data.v0
-    aug[np.arange(s, s + degree), np.arange(degree)] = np.sqrt(w @ data.M)
-    r = np.linalg.qr(aug, mode="r")
+    aug_t = np.zeros((degree + 1, s + degree))
+    np.multiply(data.V, sw, out=aug_t[:degree, :s])
+    np.multiply(data.v0, sw, out=aug_t[degree, :s])
+    aug_t[np.arange(degree), np.arange(s, s + degree)] = np.sqrt(data.M @ w)
+    r = np.linalg.qr(aug_t.T, mode="r")
     r_a = r[:degree, :degree]
     norms = np.linalg.norm(r_a, axis=0)
     if not norms.all():
-        raise RankDeficiencyError(
-            "the objective underflows at every grid rate and determines no coefficient; "
-            "n/k is too large (the edge is about 650 at k = 1e15 and 730 at k = 1e2)"
-        )
+        raise RankDeficiencyError(_underflow_message(data, np.flatnonzero(norms == 0.0) + 1))
     scaled = r_a / norms
     try:
         np.linalg.cholesky(scaled.T @ scaled)
-        b = np.linalg.solve(r_a, r[:degree, degree])
     except np.linalg.LinAlgError:
         raise RankDeficiencyError(
             "aggregate matrix is not numerically positive definite; "
             "increase the grid size or use a smaller k"
         ) from None
-    return b, float(r[degree, degree] ** 2 + w @ data.m0), r_a
+    return float(r[degree, degree] ** 2 + data.m0 @ w), r
 
 
-def _newton_factor(data: _QuadData, b, res, z, slack, r_a):
-    """Gradients of the h_i at b and R with R^T R the Newton matrix in (b, t).
+def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
+    """Names the coefficients a_j (j in `zero`) whose objective terms underflow
+    at every grid rate, the degree and the interval, and the likely cause."""
+    if len(zero) == data.degree:
+        # a_1 too: exp(-lam) itself underflows on the whole grid
+        cause = "n/k is too large (the edge is about 650 at k = 1e15 and 730 at k = 1e2)"
+    else:
+        cause = f"degree {data.degree} is too high for this interval (lower c0)"
+    which = f"a_{zero[0]}" if len(zero) == 1 else f"a_{zero[0]} to a_{zero[-1]} ({len(zero)} coefficients)"
+    return (
+        f"the objective underflows at every grid rate for {which} of the degree-{data.degree} "
+        f"polynomial on [{data.interval.lo:.6g}, {data.interval.hi:.6g}], which leaves them "
+        f"undetermined; {cause}"
+    )
+
+
+def _newton_factor(data: _QuadData, b, res, z, slack, r_dual):
+    """Gradients of the h_i at b, as an (L, s) array, and R with R^T R the
+    Newton matrix in (b, t).
 
     The matrix is 2 sum_i z_i (V_i V_i^T + diag M_i) + sum_i (z_i/slack_i)
     a_i a_i^T with a_i = (grad h_i, -1).  Its first term is 2 sum(z) A^T A for
-    the A of `_dual_solve` at w = z / sum(z), whose R is `r_a`; so it is B^T B
-    for B = [sqrt(2 sum z) r_a, 0; sqrt(z/slack) a_i^T], and a QR of these
-    s + L rows gives its factor without squaring its condition.
+    the A of `_dual_solve` at w = z / sum(z), whose R is the leading L x L
+    block r_a of that solve's triangle `r_dual`; so it is B^T B for
+    B = [sqrt(2 sum z) r_a, 0; sqrt(z/slack) a_i^T], and a QR of these s + L
+    rows gives its factor without squaring its condition.  B is filled as its
+    transpose, as in `_dual_solve`.
     """
     degree = data.degree
-    grad = 2.0 * (res[:, None] * data.V + data.M * b)
+    grad = 2.0 * (res * data.V + b[:, None] * data.M)
     sd = np.sqrt(z / slack)
-    rows = np.zeros((degree + len(z), degree + 1))
-    rows[:degree, :degree] = np.sqrt(2.0 * z.sum()) * r_a
-    rows[degree:, :degree] = sd[:, None] * grad
-    rows[degree:, degree] = -sd
-    return grad, np.linalg.qr(rows, mode="r")
+    rows_t = np.empty((degree + 1, degree + len(z)))
+    r_a = r_dual[:degree, :degree]
+    np.multiply(r_a.T, math.sqrt(2.0 * z.sum()), out=rows_t[:degree, :degree])
+    rows_t[degree, :degree] = 0.0
+    np.multiply(grad, sd, out=rows_t[:degree, degree:])
+    np.negative(sd, out=rows_t[degree, degree:])
+    return grad, np.linalg.qr(rows_t.T, mode="r")
 
 
 def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveResult:
@@ -301,7 +332,10 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
         return SolveResult(problem, Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual)
 
     degree = problem.degree
-    b, q, r_a = _dual_solve(data, w)
+    q, r = _dual_solve(data, w)
+    # the start is the only iterate at b*(w); later b are the primal iterates.
+    # R is nonsingular: _dual_solve has just checked its full rank
+    b = np.linalg.solve(r[:degree, :degree], r[:degree, degree])
     h, res = data.values(b)
     z = w
     t = 2.0 * float(h.max()) - q  # max h plus the gap of the start
@@ -320,19 +354,21 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
             break
         iterations += 1
 
-        grad, r_fac = _newton_factor(data, b, res, z, slack, r_a)
+        grad, r_fac = _newton_factor(data, b, res, z, slack, r)
+        # R is nonsingular: its b columns contain the R of _dual_solve, which
+        # has just checked its full rank, and the t column is -sqrt(d).  One
+        # inverse serves both the predictor and the corrector.
+        r_inv = np.linalg.inv(r_fac)
         d = z / slack
-        r_x = np.append(z @ grad, 1.0 - z.sum())  # stationarity in (b, t)
+        r_x = np.append(grad @ z, 1.0 - z.sum())  # stationarity in (b, t)
         r_p = h - t + slack  # primal residual
 
         def newton(r_c):
             """Step for the complementarity target slack_i dz_i + z_i dslack_i = r_c_i."""
             e = d * r_p + r_c / slack
-            rhs = -(r_x + np.append(e @ grad, -e.sum()))
-            # R is nonsingular: its b columns contain the R of _dual_solve,
-            # which has just checked its full rank, and the t column is -sqrt(d)
-            dx = np.linalg.solve(r_fac, np.linalg.solve(r_fac.T, rhs))
-            dz = d * (grad @ dx[:degree] - dx[degree]) + e
+            rhs = -(r_x + np.append(grad @ e, -e.sum()))
+            dx = r_inv @ (rhs @ r_inv)
+            dz = d * (dx[:degree] @ grad - dx[degree]) + e
             return dx, dz, (r_c - slack * dz) / z
 
         def max_step(dz, dslack):
@@ -352,7 +388,7 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
         slack = slack + alpha * dslack
         h, res = data.values(b)
         w = z / z.sum()
-        _, q, r_a = _dual_solve(data, w)
+        q, r = _dual_solve(data, w)
 
     _, b, w, q = best
     result = _result(data, problem, b, w, q, iterations)

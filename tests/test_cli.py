@@ -191,6 +191,18 @@ class TestCoeffs:
         assert "Warning" not in err
         assert "underflow" in err and "n/k is too large" in err
 
+    def test_degree_underflow_exit_2(self, capsys):
+        # n/k = 1, but c0 = 100 gives L = 921 on [1, 5986.5], whose high-degree
+        # terms underflow at every grid rate: the message names those
+        # coefficients, the degree and the interval, not n/k
+        code, out, err = run(capsys, "coeffs", "--k", "1e4", "--n", "1e4", "--c0", "100")
+        assert code == 2
+        assert out == ""
+        assert "Warning" not in err
+        assert "underflow" in err and "to a_921" in err
+        assert "degree-921" in err and "[1, 5986.5]" in err
+        assert "n/k is too large" not in err
+
     def test_outside_supported_domain_exit_2(self, capsys):
         code, out, err = run(capsys, "coeffs", "--k", "1e18", "--n", "1e18")
         assert code == 2

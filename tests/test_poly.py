@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,23 @@ class TestObjectiveG:
             assert var_v[i] == pytest.approx(var, rel=1e-12)
             assert bias_v[i] == pytest.approx(bias, rel=1e-12, abs=1e-300)
             assert g_v[i] == pytest.approx(var + bias * bias, rel=1e-12, abs=1e-300)
+
+    def test_variance_matches_rational_across_underflow(self):
+        # degree 21 past lam = 745, where exp(-lam) is 0 in float64 but the
+        # variance term is still a normal number (about 1e-267 at lam = 800)
+        rng = np.random.default_rng(5)
+        p = Polynomial((-1.0, *rng.uniform(-1, 1, 21)))
+        lams = np.array([0.5, 10.0, 150.0, 699.0, 701.0, 745.5, 800.0])
+        var = objective_values(p, lams, 0.25)[0]
+        exact = [Fraction(c) for c in p.coeffs]
+        for lam, got in zip(lams, var):
+            total = variance_sum_exact(exact, Fraction(lam))
+            with localcontext() as ctx:
+                ctx.prec = 40
+                decay = (-Decimal(lam)).exp()
+                want = float(Decimal(0.25) * decay * Decimal(total.numerator) / Decimal(total.denominator))
+            assert got > 0.0
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_vectorized_rejects_nonpositive(self):
         with pytest.raises(ValueError):
