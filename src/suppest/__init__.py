@@ -35,7 +35,6 @@ from .sip import (
     SipProblem,
     SolveResult,
     build_grid,
-    certify,
     localized_interval,
     solve,
 )

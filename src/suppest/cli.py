@@ -19,7 +19,7 @@ from . import estimators as est_mod
 from . import harness as harness_mod
 from .estimators import CoverageZeroError, EstimatorSpec
 from .poly import g_values, objective_values
-from .sip import IntervalSpec, NonConvergenceError, RankDeficiencyError, build_grid
+from .sip import NonConvergenceError, RankDeficiencyError, build_grid, fmt
 
 DEFAULT_SUITE = ("uniform", "zipf:1.5", "zipf:1", "zipf:0.5", "zipf:0.25", "benford")
 
@@ -33,10 +33,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return x
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _parse_dist(token: str) -> tuple:
@@ -108,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_finite, required=True)
     p.add_argument("--estimator", choices=("rwc", "wy"), default="rwc")
     p.add_argument("--points", type=int, default=1000)
-    p.add_argument("--reg-weight", type=_finite, default=None, help="variance weight for the g column (default 1/k)")
     _add_solver_flags(p)
 
     return parser
@@ -156,24 +151,24 @@ def _cmd_estimate(args) -> int:
     else:
         print("estimator,value,n,k,k_assumed_equal_n")
         for r in records:
-            print(f"{r['estimator']},{_fmt(r['value'])},{r['n']},{_fmt(r['k'])},{r['k_assumed_equal_n']}")
+            print(f"{r['estimator']},{fmt(r['value'])},{r['n']},{fmt(r['k'])},{r['k_assumed_equal_n']}")
     return 0
 
 
 def _cmd_coeffs(args) -> int:
+    spec = _spec_from_args(args, args.estimator)
     if args.estimator == "wy":
-        p = est_mod.wy_coefficients(args.k, args.n, args.c0, args.c1)
+        p, interval = est_mod.wy_coefficients(args.k, args.n, spec)
         per_count, tail = g_values(p)
         payload = {
             "estimator": "wy",
             "degree": p.degree,
-            "interval": [_fmt(args.n / args.k), _fmt(args.c1 * math.log(args.k))],
-            "coeffs": [_fmt(c) for c in p.coeffs],
-            "g_values": [_fmt(g) for g in per_count],
-            "g_tail": _fmt(tail),
+            "interval": [fmt(interval.lo), fmt(interval.hi)],
+            "coeffs": [fmt(c) for c in p.coeffs],
+            "g_values": [fmt(g) for g in per_count],
+            "g_tail": fmt(tail),
         }
     else:
-        spec = _spec_from_args(args, args.estimator)
         if args.estimator == "rwc":
             result = est_mod.rwc_coefficients(args.k, args.n, spec)
         else:
@@ -204,25 +199,24 @@ def _cmd_converge(args) -> int:
     s_list = [int(x) for x in args.s_list.split(",")]
     report = harness_mod.grid_convergence_study(args.k, args.n, s_list, spec)
     sys.stdout.write(report.to_csv())
-    exponent = "NA" if report.rate_exponent is None else _fmt(report.rate_exponent)
-    print(f"# t_ref={_fmt(report.t_ref)} rate_exponent={exponent}")
+    exponent = "NA" if report.rate_exponent is None else fmt(report.rate_exponent)
+    print(f"# t_ref={fmt(report.t_ref)} rate_exponent={exponent}")
     return 0
 
 
 def _cmd_bias_curve(args) -> int:
+    """The g column uses variance weight 1/k, the weight rwc solves with."""
     spec = _spec_from_args(args, args.estimator)
     if args.estimator == "wy":
-        p = est_mod.wy_coefficients(args.k, args.n, args.c0, args.c1)
-        interval = IntervalSpec(args.n / args.k, args.c1 * math.log(args.k))
+        p, interval = est_mod.wy_coefficients(args.k, args.n, spec)
     else:
         result = est_mod.rwc_coefficients(args.k, args.n, spec)
         p, interval = result.coeffs, result.problem.grid.interval
-    reg = 1.0 / args.k if args.reg_weight is None else args.reg_weight
     lams = build_grid(interval, args.points).points
-    var, bias, g = objective_values(p, lams, reg)
+    var, bias, g = objective_values(p, lams, 1.0 / args.k)
     print("lambda,bias,variance_term,g")
     for row in zip(lams, bias, var, g):
-        print(",".join(map(_fmt, row)))
+        print(",".join(map(fmt, row)))
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Fingerprint
 from .poly import Polynomial, g_values, shifted_cheb_coeffs
-from .sip import TOL, SipProblem, SolveResult, build_grid, localized_interval, solve
+from .sip import TOL, IntervalSpec, SipProblem, SolveResult, build_grid, localized_interval, solve
 
 KINDS = ("rwc", "rwc-s", "wy", "gt", "naive")
 
@@ -61,18 +61,19 @@ def degree_for(k: float, c0: float = EstimatorSpec.c0) -> int:
     return int(math.floor(c0 * math.log(k)))
 
 
-def wy_coefficients(k: float, n: float, c0: float = EstimatorSpec.c0, c1: float = EstimatorSpec.c1) -> Polynomial:
-    """Shifted Chebyshev coefficients on [n/k, c1 ln k] with L = floor(c0 ln k)."""
-    degree = degree_for(k, c0)
+def wy_coefficients(k: float, n: float, spec: EstimatorSpec) -> tuple[Polynomial, IntervalSpec]:
+    """Shifted Chebyshev coefficients with L = floor(c0 ln k) on the interval
+    [n/k, c1 ln k], and that interval."""
+    degree = degree_for(k, spec.c0)
     lo = n / k
-    hi = c1 * math.log(k)
+    hi = spec.c1 * math.log(k)
     if hi <= lo:
         raise IntervalCollapseError(
             f"approximation interval collapsed: n/k = {lo:.6g} >= c1 ln k = {hi:.6g}"
         )
     if degree < 1:
         raise ValueError(f"k={k} too small: c0 ln k must be >= 1")
-    return shifted_cheb_coeffs(degree, lo, hi)
+    return shifted_cheb_coeffs(degree, lo, hi), IntervalSpec(lo, hi)
 
 
 def _solve_weighted(
@@ -139,7 +140,7 @@ def estimate(spec: EstimatorSpec, fp: Fingerprint, k: float) -> EstimateResult:
         if spec.kind == "gt":
             return EstimateResult(good_turing(fp))
         if spec.kind == "wy":
-            return EstimateResult(apply_poly_estimator(fp, wy_coefficients(k, n, spec.c0, spec.c1)))
+            return EstimateResult(apply_poly_estimator(fp, wy_coefficients(k, n, spec)[0]))
     except (CoverageZeroError, IntervalCollapseError):
         if spec.fallback_to_naive:
             return EstimateResult(naive_count(fp), diagnostics={"fallback": "naive"})

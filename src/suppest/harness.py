@@ -20,11 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import estimators as est_mod
-from .sip import NonConvergenceError, RankDeficiencyError
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+from .sip import NonConvergenceError, RankDeficiencyError, fmt
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class RiskReport:
         out.write(",".join(f.name for f in fields(RiskRow)) + "\n")
         for r in self.rows:
             cells = (getattr(r, f.name) for f in fields(RiskRow))
-            out.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in cells) + "\n")
+            out.write(",".join(fmt(c) if isinstance(c, float) else str(c) for c in cells) + "\n")
         return out.getvalue()
 
     def to_json_dict(self) -> list[dict]:
@@ -93,7 +89,7 @@ class ConvergenceReport:
         out = io.StringIO()
         out.write("s,d,t_d\n")
         for r in self.rows:
-            out.write(f"{r.s},{_fmt(r.d)},{_fmt(r.t_d)}\n")
+            out.write(f"{r.s},{fmt(r.d)},{fmt(r.t_d)}\n")
         return out.getvalue()
 
 

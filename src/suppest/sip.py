@@ -47,6 +47,11 @@ MAX_ITER = 100
 TOL = 1e-8
 
 
+def fmt(x: float) -> str:
+    """A float as %.17g text, which reads back as the same double; every report prints floats so."""
+    return format(x, ".17g")
+
+
 class InvalidGridError(ValueError):
     pass
 
@@ -126,14 +131,14 @@ class SolveResult:
         per_count, tail = g_values(self.coeffs)
         return {
             "degree": self.problem.degree,
-            "reg_weight": format(self.problem.reg_weight, ".17g"),
-            "interval": [format(interval.lo, ".17g"), format(interval.hi, ".17g")],
+            "reg_weight": fmt(self.problem.reg_weight),
+            "interval": [fmt(interval.lo), fmt(interval.hi)],
             "grid_points": self.problem.grid.s,
-            "g_values": [format(g, ".17g") for g in per_count],
-            "g_tail": format(tail, ".17g"),
-            "coeffs": [format(c, ".17g") for c in self.coeffs.coeffs],
-            "t_d": format(self.t_d, ".17g"),
-            "duality_gap": format(self.duality_gap, ".17g"),
+            "g_values": [fmt(g) for g in per_count],
+            "g_tail": fmt(tail),
+            "coeffs": [fmt(c) for c in self.coeffs.coeffs],
+            "t_d": fmt(self.t_d),
+            "duality_gap": fmt(self.duality_gap),
             "iterations": self.iterations,
         }
 
@@ -396,14 +401,3 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
         f"duality gap {result.duality_gap:.3e} above tolerance {tol:.3e} after {iterations} iterations",
         best=result,
     )
-
-
-def certify(result: SolveResult, oversample: int) -> float:
-    """Max of the objective on an `oversample`-times finer grid of the solved
-    problem (discretization slack diagnostic: the excess over t_d estimates
-    the grid truncation)."""
-    if oversample < 2:
-        raise ValueError("oversample must be >= 2")
-    problem = result.problem
-    fine = build_grid(problem.grid.interval, (problem.grid.s - 1) * oversample + 1)
-    return float(objective_values(result.coeffs, fine.points, problem.reg_weight)[2].max())

@@ -136,7 +136,7 @@ def test_criterion_5_minimax_dominance():
             degree = degree_for(k)
             grid = build_grid(localized_interval(n, k, degree), spec.s)
             try:
-                wy = wy_coefficients(k, n)
+                wy, _ = wy_coefficients(k, n, EstimatorSpec("wy"))
             except IntervalCollapseError:
                 skipped += 1
                 continue

@@ -128,6 +128,16 @@ class TestCoeffs:
         assert float(payload["interval"][0]) == 1.0
         assert float(payload["interval"][1]) == pytest.approx(0.5 * math.log(1e6))
 
+    def test_wy_interval_from_estimator(self, capsys):
+        """coeffs prints, and bias-curve plots, the interval wy_coefficients approximated on."""
+        argv = ("--k", "1e4", "--n", "1e4", "--estimator", "wy", "--c1", "0.7")
+        code, out, _ = run(capsys, "coeffs", *argv)
+        assert code == 0
+        assert json.loads(out)["interval"] == ["1", "6.4472382603833278"]
+        code, out, _ = run(capsys, "bias-curve", *argv, "--points", "5")
+        assert code == 0
+        assert out.strip().splitlines()[-1].split(",")[0] == "6.4472382603833278"
+
     def test_wy_collapse_exit_1(self, capsys):
         code, _, err = run(capsys, "coeffs", "--k", "2", "--n", "100", "--estimator", "wy")
         assert code == 1
@@ -282,6 +292,8 @@ class TestConverge:
             (("converge", "--k", "1e4", "--n", "1e4", "--s-list", "11", "--s", "7"), "--s"),
             # the iteration budget is the constant sip.MAX_ITER
             (("coeffs", "--k", "1e4", "--n", "1e4", "--max-iter", "5"), "--max-iter"),
+            # the g column always uses the rwc weight 1/k
+            (("bias-curve", "--k", "1e4", "--n", "1e4", "--reg-weight", "0"), "--reg-weight"),
         ],
     )
     def test_no_c1_flag(self, capsys, argv, flag):
@@ -391,10 +403,12 @@ class TestParsing:
             ((*SIMULATE, "zipf:1000"), "sample size n = 1.07151e+301 is too large to draw"),
             # 1e16 draws, a 71 PiB array, far more memory than a machine has: the allocation fails at once
             ((*SIMULATE, "uniform", "--n-frac", "1e12"), "sample size n = 1e+16 is too large to draw"),
+            # wy builds its EstimatorSpec like every estimator, so it rejects s < 2 as bias-curve does
+            (("coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "wy", "--s", "1"), "grid size s must be >= 2"),
         ],
     )
     def test_input_error_is_one_line(self, capsys, argv, message):
-        # each of these used to end in a ZeroDivisionError traceback, or in
+        # most of these used to end in a ZeroDivisionError traceback, or in
         # a message about converting NaN to an integer
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -40,19 +40,20 @@ class TestDegreeFor:
 
 class TestWyCoefficients:
     def test_standard_instance(self):
-        p = wy_coefficients(1e6, 1e6)
+        p, interval = wy_coefficients(1e6, 1e6, EstimatorSpec("wy"))
         assert p.degree == 7
         assert p.coeffs[0] == -1.0
+        assert (interval.lo, interval.hi) == (1.0, 0.5 * math.log(1e6))
 
     def test_tiny_k_boundary(self):
         # k = n = 8: interval [1, 0.5 ln 8 ~ 1.0397] barely survives, L = 1
-        p = wy_coefficients(8, 8)
+        p, _ = wy_coefficients(8, 8, EstimatorSpec("wy"))
         assert p.degree == 1
         assert p.coeffs[1] == pytest.approx(2.0 / (1.0 + 0.5 * math.log(8)), rel=1e-12)
 
     def test_interval_collapse(self):
         with pytest.raises(IntervalCollapseError):
-            wy_coefficients(100.0, 1000.0)
+            wy_coefficients(100.0, 1000.0, EstimatorSpec("wy"))
 
 
 class TestRwcCoefficients:
