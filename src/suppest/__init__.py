@@ -30,8 +30,6 @@ from .poly import (
     shifted_cheb_coeffs,
 )
 from .sip import (
-    GridSpec,
-    IntervalSpec,
     SipProblem,
     SolveResult,
     build_grid,

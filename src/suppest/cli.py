@@ -156,14 +156,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    if args.s_count is not None and args.estimator != "rwc-s":
+        raise ValueError(f"--s-count is read only by --estimator rwc-s, not {args.estimator}")
     spec = _spec_from_args(args, args.estimator)
     if args.estimator == "wy":
-        p, interval = est_mod.wy_coefficients(args.k, args.n, spec)
+        p, (lo, hi) = est_mod.wy_coefficients(args.k, args.n, spec)
         per_count, tail = g_values(p)
         payload = {
             "estimator": "wy",
             "degree": p.degree,
-            "interval": [fmt(interval.lo), fmt(interval.hi)],
+            "interval": [fmt(lo), fmt(hi)],
             "coeffs": [fmt(c) for c in p.coeffs],
             "g_values": [fmt(g) for g in per_count],
             "g_tail": fmt(tail),
@@ -208,11 +210,11 @@ def _cmd_bias_curve(args) -> int:
     """The g column uses variance weight 1/k, the weight rwc solves with."""
     spec = _spec_from_args(args, args.estimator)
     if args.estimator == "wy":
-        p, interval = est_mod.wy_coefficients(args.k, args.n, spec)
+        p, (lo, hi) = est_mod.wy_coefficients(args.k, args.n, spec)
     else:
         result = est_mod.rwc_coefficients(args.k, args.n, spec)
-        p, interval = result.coeffs, result.problem.grid.interval
-    lams = build_grid(interval, args.points).points
+        p, lo, hi = result.coeffs, result.problem.points[0], result.problem.points[-1]
+    lams = build_grid(lo, hi, args.points)
     var, bias, g = objective_values(p, lams, 1.0 / args.k)
     print("lambda,bias,variance_term,g")
     for row in zip(lams, bias, var, g):

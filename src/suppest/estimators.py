@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Fingerprint
 from .poly import Polynomial, g_values, shifted_cheb_coeffs
-from .sip import TOL, IntervalSpec, SipProblem, SolveResult, build_grid, localized_interval, solve
+from .sip import TOL, SipProblem, SolveResult, build_grid, localized_interval, solve
 
 KINDS = ("rwc", "rwc-s", "wy", "gt", "naive")
 
@@ -46,6 +46,8 @@ class EstimatorSpec:
             raise ValueError("c0 and c1 must be positive")
         if self.s < 2:
             raise ValueError("grid size s must be >= 2")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,9 @@ def degree_for(k: float, c0: float = EstimatorSpec.c0) -> int:
     return int(math.floor(c0 * math.log(k)))
 
 
-def wy_coefficients(k: float, n: float, spec: EstimatorSpec) -> tuple[Polynomial, IntervalSpec]:
+def wy_coefficients(k: float, n: float, spec: EstimatorSpec) -> tuple[Polynomial, tuple[float, float]]:
     """Shifted Chebyshev coefficients with L = floor(c0 ln k) on the interval
-    [n/k, c1 ln k], and that interval."""
+    [n/k, c1 ln k], and that interval as (lo, hi)."""
     degree = degree_for(k, spec.c0)
     lo = n / k
     hi = spec.c1 * math.log(k)
@@ -73,7 +75,7 @@ def wy_coefficients(k: float, n: float, spec: EstimatorSpec) -> tuple[Polynomial
         )
     if degree < 1:
         raise ValueError(f"k={k} too small: c0 ln k must be >= 1")
-    return shifted_cheb_coeffs(degree, lo, hi), IntervalSpec(lo, hi)
+    return shifted_cheb_coeffs(degree, lo, hi), (lo, hi)
 
 
 def _solve_weighted(
@@ -81,7 +83,7 @@ def _solve_weighted(
 ) -> SolveResult:
     """Solve with variance weight 1 / count, after degree_for has rejected k < 2."""
     degree = degree_for(k, spec.c0)
-    problem = SipProblem(degree, build_grid(localized_interval(n, k, degree), spec.s), 1.0 / count)
+    problem = SipProblem(degree, build_grid(*localized_interval(n, k, degree), spec.s), 1.0 / count)
     return solve(problem, tol=spec.tol, init_weights=init_weights)
 
 

@@ -175,7 +175,10 @@ def grid_convergence_study(
     rows = []
     for s in s_list:
         result = est_mod.rwc_coefficients(k, n, replace(spec, s=s))
-        rows.append(ConvergenceRow(s, result.problem.grid.d, result.t_d))
+        points = result.problem.points
+        # the spacing of the solved grid; a point problem has one rate and spacing 0
+        d = (points[-1] - points[0]) / (len(points) - 1) if len(points) > 1 else 0.0
+        rows.append(ConvergenceRow(s, float(d), result.t_d))
     t_ref = rows[-1].t_d
     exponent = None
     if len(rows) >= 3:

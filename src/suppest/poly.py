@@ -21,7 +21,7 @@ import numpy as np
 
 
 class InvalidIntervalError(ValueError):
-    """Raised when a shifted-Chebyshev interval is degenerate or reversed."""
+    """Raised when a shifted-Chebyshev interval has zero length or is reversed."""
 
 
 class InvalidEstimatorError(ValueError):

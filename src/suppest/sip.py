@@ -52,10 +52,6 @@ def fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-class InvalidGridError(ValueError):
-    pass
-
-
 class RankDeficiencyError(RuntimeError):
     """Aggregate matrix is not numerically positive definite.
 
@@ -76,33 +72,12 @@ class NonConvergenceError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lo <= self.hi):
-            raise ValueError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def degenerate(self) -> bool:
-        """A point interval, discretized by its single point."""
-        return self.lo == self.hi
-
-
-@dataclass(frozen=True, eq=False)
-class GridSpec:
-    interval: IntervalSpec
-    s: int
-    points: np.ndarray
-    d: float
-
-
 @dataclass(frozen=True, eq=False)
 class SipProblem:
+    """Degree L, the ascending grid of Poisson rates and the variance weight."""
+
     degree: int
-    grid: GridSpec
+    points: np.ndarray
     reg_weight: float
 
     def __post_init__(self):
@@ -110,9 +85,9 @@ class SipProblem:
             raise ValueError("degree must be >= 0")
         if self.reg_weight < 0.0:
             raise ValueError("reg_weight must be >= 0")
-        if self.reg_weight == 0.0 and self.grid.s < self.degree + 2:
+        if self.reg_weight == 0.0 and len(self.points) < self.degree + 2:
             raise ValueError(
-                f"unregularized problem needs s >= L + 2 grid points, got s={self.grid.s}"
+                f"unregularized problem needs s >= L + 2 grid points, got s={len(self.points)}"
             )
 
 
@@ -127,13 +102,13 @@ class SolveResult:
 
     def to_json_dict(self) -> dict:
         """The solved problem and its certified solution, floats as %.17g."""
-        interval = self.problem.grid.interval
+        points = self.problem.points
         per_count, tail = g_values(self.coeffs)
         return {
             "degree": self.problem.degree,
             "reg_weight": fmt(self.problem.reg_weight),
-            "interval": [fmt(interval.lo), fmt(interval.hi)],
-            "grid_points": self.problem.grid.s,
+            "interval": [fmt(points[0]), fmt(points[-1])],
+            "grid_points": len(points),
             "g_values": [fmt(g) for g in per_count],
             "g_tail": fmt(tail),
             "coeffs": [fmt(c) for c in self.coeffs.coeffs],
@@ -143,31 +118,28 @@ class SolveResult:
         }
 
 
-def localized_interval(n: float, k: float, degree: int) -> IntervalSpec:
-    """Interval [n/k, 6.5 L], collapsing to the single point n/k past 6.5 L
-    (so always for L = 0)."""
+def localized_interval(n: float, k: float, degree: int) -> tuple[float, float]:
+    """Interval (lo, hi) = (n/k, 6.5 L), collapsing to the single point n/k
+    past 6.5 L (so always for L = 0)."""
     if n <= 0 or k <= 0:
         raise ValueError("n and k must be positive")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     lo = n / k
-    hi = LOCALIZATION_FACTOR * degree
-    if lo < hi:
-        return IntervalSpec(lo, hi)
-    return IntervalSpec(lo, lo)
+    return lo, max(lo, LOCALIZATION_FACTOR * degree)
 
 
-def build_grid(interval: IntervalSpec, s: int) -> GridSpec:
-    """Uniform grid including both endpoints (boundary inclusion is required
-    for the discretization-rate guarantees to apply); a point interval is its
-    single point, whatever s is."""
-    if interval.degenerate:
-        return GridSpec(interval, 1, np.array([interval.lo]), 0.0)
+def build_grid(lo: float, hi: float, s: int) -> np.ndarray:
+    """s uniform rates on [lo, hi], both ends included (boundary inclusion is
+    required for the discretization-rate guarantees to apply); a point
+    interval is its single point, whatever s is."""
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
+    if lo == hi:
+        return np.array([lo])
     if s < 2:
-        raise InvalidGridError(f"need at least 2 grid points, got {s}")
-    points = np.linspace(interval.lo, interval.hi, s)
-    d = (interval.hi - interval.lo) / (s - 1)
-    return GridSpec(interval, s, points, d)
+        raise ValueError(f"need at least 2 grid points, got {s}")
+    return np.linspace(lo, hi, s)
 
 
 class _QuadData:
@@ -181,11 +153,11 @@ class _QuadData:
     """
 
     def __init__(self, problem: SipProblem):
-        lams = problem.grid.points
+        lams = problem.points
         degree = problem.degree
         self.degree = degree
-        self.interval = problem.grid.interval
-        self.mu = max(problem.grid.interval.hi / 2.0, problem.grid.interval.lo)
+        self.lo, self.hi = lams[0], lams[-1]
+        self.mu = max(self.hi / 2.0, self.lo)
         ells = np.arange(degree + 1)
         log_lam = np.log(lams)
         log_mu = math.log(self.mu)
@@ -257,7 +229,7 @@ def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
     which = f"a_{zero[0]}" if len(zero) == 1 else f"a_{zero[0]} to a_{zero[-1]} ({len(zero)} coefficients)"
     return (
         f"the objective underflows at every grid rate for {which} of the degree-{data.degree} "
-        f"polynomial on [{data.interval.lo:.6g}, {data.interval.hi:.6g}], which leaves them "
+        f"polynomial on [{data.lo:.6g}, {data.hi:.6g}], which leaves them "
         f"undetermined; {cause}"
     )
 
@@ -289,7 +261,7 @@ def _newton_factor(data: _QuadData, b, res, z, slack, r_dual):
 def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveResult:
     coeffs = data.unscale(b)
     # report the primal value through the same evaluation path callers use
-    t_d = float(objective_values(coeffs, problem.grid.points, problem.reg_weight)[2].max())
+    t_d = float(objective_values(coeffs, problem.points, problem.reg_weight)[2].max())
     return SolveResult(problem, coeffs, t_d, max(t_d - q, 0.0), iterations, w)
 
 
@@ -317,7 +289,7 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
     if tol <= 0:
         raise ValueError("tol must be positive")
     data = _QuadData(problem)
-    s = problem.grid.s
+    s = len(problem.points)
 
     if init_weights is None:
         w = np.full(s, 1.0 / s)

@@ -102,8 +102,7 @@ def test_criterion_3_solver_certificate():
     k = n = 1e6
     degree = degree_for(k)
     assert degree == 7
-    grid = build_grid(localized_interval(n, k, degree), 1000)
-    problem = SipProblem(degree, grid, 1.0 / k)
+    problem = SipProblem(degree, build_grid(*localized_interval(n, k, degree), 1000), 1.0 / k)
     r0 = solve(problem, tol=1e-8)
     assert r0.duality_gap <= 1e-8
     # uniqueness: tighter solves from two initializations agree per coordinate
@@ -134,15 +133,15 @@ def test_criterion_5_minimax_dominance():
     for k in (1e3, 1e4, 1e6):
         for n in (0.5 * k, k, 5 * k):
             degree = degree_for(k)
-            grid = build_grid(localized_interval(n, k, degree), spec.s)
+            grid = build_grid(*localized_interval(n, k, degree), spec.s)
             try:
                 wy, _ = wy_coefficients(k, n, EstimatorSpec("wy"))
             except IntervalCollapseError:
                 skipped += 1
                 continue
             rwc = rwc_coefficients(k, n, spec).coeffs
-            max_rwc = float(objective_values(rwc, grid.points, 1.0 / k)[2].max())
-            max_wy = float(objective_values(wy, grid.points, 1.0 / k)[2].max())
+            max_rwc = float(objective_values(rwc, grid, 1.0 / k)[2].max())
+            max_wy = float(objective_values(wy, grid, 1.0 / k)[2].max())
             assert max_rwc <= max_wy + 2 * spec.tol, (
                 f"k={k} n={n}: {max_rwc} > {max_wy} + 2 tol"
             )
@@ -247,13 +246,12 @@ def test_criterion_9_mrs_diagnostic():
     for degree in (3, 5, 7):
         k = n = math.exp((degree + 0.5) / 0.558)
         assert degree_for(k) == degree
-        interval = localized_interval(n, k, degree)
-        grid = build_grid(interval, 1000)
-        result = solve(SipProblem(degree, grid, 0.0), tol=1e-9)
+        lo, hi = localized_interval(n, k, degree)
+        result = solve(SipProblem(degree, build_grid(lo, hi, 1000), 0.0), tol=1e-9)
         dense = np.linspace(n / k, n, 100_000)
         bias = np.abs(objective_values(result.coeffs, dense, 0.0)[1])
         lam_star = float(dense[int(np.argmax(bias))])
-        bound = n / k + math.pi * degree / 2 + grid.d
+        bound = n / k + math.pi * degree / 2 + (hi - lo) / 999
         if lam_star > bound:
             failures.append((degree, k, n, lam_star, bound))
     if failures:

@@ -405,6 +405,11 @@ class TestParsing:
             ((*SIMULATE, "uniform", "--n-frac", "1e12"), "sample size n = 1e+16 is too large to draw"),
             # wy builds its EstimatorSpec like every estimator, so it rejects s < 2 as bias-curve does
             (("coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "wy", "--s", "1"), "grid size s must be >= 2"),
+            # the spec checks tol, also for estimators that never solve
+            (("coeffs", "--estimator", "wy", "--k", "1e4", "--n", "1e4", "--tol", "-1"), "tol must be positive"),
+            (("simulate", "--trials", "1", "--estimators", "naive,gt", "--tol", "0"), "tol must be positive"),
+            (("coeffs", "--k", "1e4", "--n", "1e4", "--s-count", "5"), "--s-count is read only by --estimator rwc-s, not rwc"),
+            (("coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "wy", "--s-count", "5"), "--s-count is read only by --estimator rwc-s, not wy"),
         ],
     )
     def test_input_error_is_one_line(self, capsys, argv, message):

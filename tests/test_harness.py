@@ -17,7 +17,7 @@ from suppest.estimators import (
 from suppest.harness import evaluate_risk, grid_convergence_study
 from suppest.cli import main
 from suppest.poly import Polynomial, objective_values
-from suppest.sip import IntervalSpec, build_grid, localized_interval
+from suppest.sip import build_grid, localized_interval
 
 
 class TestEvaluateRisk:
@@ -86,13 +86,13 @@ class TestEvaluateRisk:
         assert len(calls) >= 3
         assert [warm for _, warm, _ in calls] == [False] + [True] * (len(calls) - 1)
 
-        grid = build_grid(localized_interval(n, k, degree_for(k, spec.c0)), spec.s)
+        grid = build_grid(*localized_interval(n, k, degree_for(k, spec.c0)), spec.s)
         coeffs = {s_c: p for s_c, _, p in calls}
         for fp, s_c, value in zip(fps, counts, values):
             assert value == apply_poly_estimator(fp, coeffs[s_c])
         for s_c, p in coeffs.items():
             cold = rwcs_coefficients(k, n, s_c, spec)
-            warm_max = float(objective_values(p, grid.points, 1.0 / s_c)[2].max())
+            warm_max = float(objective_values(p, grid, 1.0 / s_c)[2].max())
             # both solves certify a gap <= tol on the same program
             assert abs(warm_max - cold.t_d) <= spec.tol
 
@@ -144,7 +144,7 @@ class TestEvaluateRisk:
 
         def counted(k, n, spec):
             result = rwc_coefficients(k, n, spec)
-            grid_sizes.append(result.problem.grid.s)
+            grid_sizes.append(len(result.problem.points))
             return result
 
         monkeypatch.setattr(harness.est_mod, "rwc_coefficients", counted)
@@ -168,19 +168,19 @@ class TestBiasCurve:
     """The bias curve is `objective_values` over the points of `build_grid`."""
 
     def test_bias_zero_at_root(self):
-        lams = build_grid(IntervalSpec(1.0, 2.0), 11).points
+        lams = build_grid(1.0, 2.0, 11)
         _, bias, _ = objective_values(Polynomial((-1.0, 1.0)), lams, 0.1)
         assert bias[0] == pytest.approx(0.0, abs=1e-15)
         for lam, b in zip(lams, bias):
             assert b == pytest.approx(math.exp(-lam) * (lam - 1.0), rel=1e-12, abs=1e-15)
 
     def test_two_points(self):
-        lams = build_grid(IntervalSpec(1.0, 3.0), 2).points
+        lams = build_grid(1.0, 3.0, 2)
         assert list(lams) == [1.0, 3.0]
         assert all(len(v) == 2 for v in objective_values(Polynomial((-1.0,)), lams, 0.1))
 
     def test_degenerate_interval(self):
-        lams = build_grid(IntervalSpec(2.0, 2.0), 5).points
+        lams = build_grid(2.0, 2.0, 5)
         assert list(lams) == [2.0]
         assert all(len(v) == 1 for v in objective_values(Polynomial((-1.0,)), lams, 0.1))
 
@@ -226,3 +226,8 @@ class TestGridConvergenceStudy:
         t_d = rwc_coefficients(4, 4, EstimatorSpec("rwc")).t_d
         assert [(r.s, r.d, r.t_d) for r in report.rows] == [(11, 0.0, t_d), (21, 0.0, t_d)]
         assert report.rate_exponent is None
+
+    def test_spacing_of_the_solved_grid(self):
+        # rwc at k = n = 1e4 solves on [1, 6.5 * 5 = 32.5]; d is that span over s - 1
+        report = grid_convergence_study(1e4, 1e4, [11, 21, 41], EstimatorSpec("rwc"))
+        assert [(r.s, r.d) for r in report.rows] == [(s, (32.5 - 1.0) / (s - 1)) for s in (11, 21, 41)]

@@ -8,9 +8,6 @@ from suppest import sip
 from suppest.estimators import EstimatorSpec, degree_for, rwc_coefficients, rwcs_coefficients
 from suppest.poly import objective_values
 from suppest.sip import (
-    GridSpec,
-    IntervalSpec,
-    InvalidGridError,
     NonConvergenceError,
     RankDeficiencyError,
     SipProblem,
@@ -26,21 +23,14 @@ from _rational import dual_value_exact
 
 class TestLocalizedInterval:
     def test_standard_instance(self):
-        iv = localized_interval(1e6, 1e6, 7)
-        assert iv.lo == 1.0
-        assert iv.hi == 45.5
-        assert not iv.degenerate
+        assert localized_interval(1e6, 1e6, 7) == (1.0, 45.5)
 
     def test_collapses_past_threshold(self):
-        iv = localized_interval(50_000.0, 1000.0, 7)
-        assert iv.degenerate
-        assert iv.lo == iv.hi == 50.0
+        assert localized_interval(50_000.0, 1000.0, 7) == (50.0, 50.0)
 
     def test_boundary_equality_degenerate(self):
         # n/k exactly 6.5 L: zero-length interval resolved as a single point
-        iv = localized_interval(45.5, 1.0, 7)
-        assert iv.degenerate
-        assert iv.lo == 45.5
+        assert localized_interval(45.5, 1.0, 7) == (45.5, 45.5)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -48,45 +38,42 @@ class TestLocalizedInterval:
 
     def test_degree_zero_is_point(self):
         # 6.5 * 0 <= n/k: the pure-counting estimator is fitted at n/k alone
-        iv = localized_interval(30.0, 10.0, 0)
-        assert iv.degenerate
-        assert iv.lo == iv.hi == 3.0
+        assert localized_interval(30.0, 10.0, 0) == (3.0, 3.0)
 
 
 class TestBuildGrid:
     def test_standard(self):
-        grid = build_grid(IntervalSpec(1.0, 45.5), 1000)
-        assert grid.s == 1000
-        assert grid.points[0] == 1.0
-        assert grid.points[-1] == 45.5
-        assert grid.d == pytest.approx(44.5 / 999, rel=1e-15)
-        assert np.all(np.diff(grid.points) > 0)
+        points = build_grid(1.0, 45.5, 1000)
+        assert len(points) == 1000
+        assert points[0] == 1.0
+        assert points[-1] == 45.5
+        assert np.all(np.diff(points) > 0)
 
     def test_two_points(self):
-        grid = build_grid(IntervalSpec(1.0, 45.5), 2)
-        assert list(grid.points) == [1.0, 45.5]
+        assert list(build_grid(1.0, 45.5, 2)) == [1.0, 45.5]
 
     def test_degenerate(self):
         # a point interval is its single point, whatever s is
         for s in (1, 3, 1000):
-            grid = build_grid(IntervalSpec(50.0, 50.0), s)
-            assert grid.s == 1
-            assert list(grid.points) == [50.0]
-            assert grid.d == 0.0
+            assert list(build_grid(50.0, 50.0, s)) == [50.0]
 
     def test_too_few_points(self):
-        with pytest.raises(InvalidGridError):
-            build_grid(IntervalSpec(1.0, 45.5), 1)
+        with pytest.raises(ValueError, match="need at least 2 grid points, got 1"):
+            build_grid(1.0, 45.5, 1)
+
+    @pytest.mark.parametrize("lo,hi", [(2.0, 1.0), (0.0, 1.0)])
+    def test_bad_interval(self, lo, hi):
+        with pytest.raises(ValueError, match="need 0 < lo <= hi"):
+            build_grid(lo, hi, 5)
 
 
 def _standard_problem(s=1000, reg=1e-6, degree=7):
-    grid = build_grid(IntervalSpec(1.0, 6.5 * degree), s)
-    return SipProblem(degree, grid, reg)
+    return SipProblem(degree, build_grid(1.0, 6.5 * degree, s), reg)
 
 
 class TestSolve:
     def test_degree_zero_closed_form(self):
-        grid = build_grid(IntervalSpec(2.0, 10.0), 5)
+        grid = build_grid(2.0, 10.0, 5)
         res = solve(SipProblem(0, grid, 0.3))
         lam = 2.0
         assert res.coeffs.coeffs == (-1.0,)
@@ -96,7 +83,7 @@ class TestSolve:
         assert res.duality_gap == 0.0
 
     def test_degree_one_single_point(self):
-        grid = build_grid(IntervalSpec(1.0, 1.0), 1)
+        grid = build_grid(1.0, 1.0, 1)
         res = solve(SipProblem(1, grid, 0.1), tol=1e-12)
         assert res.coeffs.coeffs[1] == pytest.approx(1.0 / (math.e / 10 + 1), abs=1e-9)
 
@@ -128,12 +115,12 @@ class TestSolve:
         assert tds[1] <= tds[2] + 2e-10
 
     def test_unregularized_needs_enough_points(self):
-        grid = build_grid(IntervalSpec(1.0, 20.0), 4)
+        grid = build_grid(1.0, 20.0, 4)
         with pytest.raises(ValueError):
             SipProblem(3, grid, 0.0)
 
     def test_unregularized_solvable(self):
-        grid = build_grid(IntervalSpec(1.0, 19.5), 200)
+        grid = build_grid(1.0, 19.5, 200)
         res = solve(SipProblem(3, grid, 0.0), tol=1e-9)
         assert res.duality_gap <= 1e-9
 
@@ -146,7 +133,7 @@ class TestSolve:
             solve(_standard_problem(), init_weights=np.ones(3))
 
     def test_result_carries_problem(self, monkeypatch):
-        degree_zero = SipProblem(0, build_grid(IntervalSpec(2.0, 10.0), 5), 0.3)
+        degree_zero = SipProblem(0, build_grid(2.0, 10.0, 5), 0.3)
         for p in (_standard_problem(s=11), degree_zero):
             assert solve(p).problem is p
         p = _standard_problem(s=11)
@@ -159,7 +146,7 @@ class TestSolve:
         # rwc at k = 1e12, n = 1e11: R^T R equals the Newton matrix assembled term by term
         k, n = 1e12, 1e11
         degree = degree_for(k)
-        problem = SipProblem(degree, build_grid(localized_interval(n, k, degree), 1000), 1.0 / k)
+        problem = SipProblem(degree, build_grid(*localized_interval(n, k, degree), 1000), 1.0 / k)
         data = _QuadData(problem)
         rng = np.random.default_rng(3)
         z = rng.uniform(0.5, 2.0, 1000) / 300.0
@@ -180,19 +167,20 @@ def _oversampled_max(res, oversample=10):
     """Max of the objective on an `oversample`-times finer grid of the solved
     problem; its excess over t_d estimates the discretization slack."""
     problem = res.problem
-    fine = build_grid(problem.grid.interval, (problem.grid.s - 1) * oversample + 1)
-    return float(objective_values(res.coeffs, fine.points, problem.reg_weight)[2].max())
+    points = problem.points
+    fine = build_grid(points[0], points[-1], (len(points) - 1) * oversample + 1)
+    return float(objective_values(res.coeffs, fine, problem.reg_weight)[2].max())
 
 
 class TestCertify:
     def test_degree_zero_exact(self):
-        grid = build_grid(IntervalSpec(2.0, 10.0), 5)
+        grid = build_grid(2.0, 10.0, 5)
         problem = SipProblem(0, grid, 0.3)
         res = solve(problem)
         assert _oversampled_max(res) == pytest.approx(res.t_d, rel=1e-14)
 
     def test_degenerate_point(self):
-        grid = build_grid(IntervalSpec(3.0, 3.0), 1)
+        grid = build_grid(3.0, 3.0, 1)
         problem = SipProblem(2, grid, 0.05)
         res = solve(problem, tol=1e-10)
         assert _oversampled_max(res) == pytest.approx(res.t_d, rel=1e-9)
@@ -233,9 +221,7 @@ def _weighted_solve(kind, k, n_over_k):
         s_count = max(1, round(-k * math.expm1(-n_over_k)))
         result, reg = rwcs_coefficients(k, n, s_count, spec), 1.0 / s_count
     degree = degree_for(k)
-    interval = localized_interval(n, k, degree)
-    grid = build_grid(interval, spec.s)
-    return result, SipProblem(degree, grid, reg)
+    return result, SipProblem(degree, build_grid(*localized_interval(n, k, degree), spec.s), reg)
 
 
 DOMAIN = [(k, r) for k in (1e2, 1e4, 1e6, 1e9, 1e12) for r in (1e-6, 1e-3, 0.1, 1.0, 10.0)]
@@ -251,7 +237,7 @@ class TestSupportedDomain:
             # 25 is the most any cell needs (sip.MAX_ITER is four times that), so a
             # rise in iterations cannot hide behind a cheaper iteration
             assert 0 <= result.iterations <= 25, (kind, result.iterations)
-            grid_max = objective_values(result.coeffs, problem.grid.points, problem.reg_weight)[2].max()
+            grid_max = objective_values(result.coeffs, problem.points, problem.reg_weight)[2].max()
             assert result.t_d == float(grid_max)
 
     @pytest.mark.parametrize("k", [1e18, 1e20])
