@@ -1,8 +1,10 @@
 """Command-line surface: estimate, coeffs, simulate, converge, bias-curve.
 
 Every command is a pure function of its flags, input files and seed; repeated
-runs print byte-identical output.  Exit codes: 0 success, 1 input/validation
-failure, 2 numerical failure.
+runs print byte-identical output.  This is the one module that formats
+output: floats print as %.17g (`fmt`) and every CSV goes through
+`_print_csv`.  Exit codes: 0 success, 1 input/validation failure, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -12,16 +14,33 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 
 from . import data as data_mod
 from . import estimators as est_mod
 from . import harness as harness_mod
 from .estimators import CoverageZeroError, EstimatorSpec
 from .poly import g_values, objective_values
-from .sip import NonConvergenceError, RankDeficiencyError, build_grid, fmt
+from .sip import NonConvergenceError, RankDeficiencyError, build_grid
 
 DEFAULT_SUITE = ("uniform", "zipf:1.5", "zipf:1", "zipf:0.5", "zipf:0.25", "benford")
+
+
+def fmt(x: float) -> str:
+    """A float as %.17g text, which reads back as the same double; every report prints floats so."""
+    return format(x, ".17g")
+
+
+def _print_csv(header, rows) -> None:
+    """Print a header line and one line per row: floats through `fmt`, other
+    cells through `str`.  A field holding a comma, a quote or a line break is
+    quoted with its quotes doubled, as the csv module writes and reads it."""
+    # not through the csv module: importing it adds about 64 kB to the peak
+    # memory of every process
+    for row in [header, *rows]:
+        cells = [fmt(c) if isinstance(c, float) else str(c) for c in row]
+        quoted = ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c for c in cells]
+        print(",".join(quoted))
 
 
 def _finite(text: str) -> float:
@@ -149,9 +168,8 @@ def _cmd_estimate(args) -> int:
     if args.format == "json":
         print(json.dumps(records, indent=2, default=float))
     else:
-        print("estimator,value,n,k,k_assumed_equal_n")
-        for r in records:
-            print(f"{r['estimator']},{fmt(r['value'])},{r['n']},{fmt(r['k'])},{r['k_assumed_equal_n']}")
+        columns = ("estimator", "value", "n", "k", "k_assumed_equal_n")
+        _print_csv(columns, ([r[c] for c in columns] for r in records))
     return 0
 
 
@@ -177,7 +195,21 @@ def _cmd_coeffs(args) -> int:
             if args.s_count is None:
                 raise ValueError("rwc-s needs --s-count (the naive counting estimate)")
             result = est_mod.rwcs_coefficients(args.k, args.n, args.s_count, spec)
-        payload = {"estimator": args.estimator, **result.to_json_dict()}
+        points = result.problem.points
+        per_count, tail = g_values(result.coeffs)
+        payload = {
+            "estimator": args.estimator,
+            "degree": result.problem.degree,
+            "reg_weight": fmt(result.problem.reg_weight),
+            "interval": [fmt(points[0]), fmt(points[-1])],
+            "grid_points": len(points),
+            "g_values": [fmt(g) for g in per_count],
+            "g_tail": fmt(tail),
+            "coeffs": [fmt(c) for c in result.coeffs.coeffs],
+            "t_d": fmt(result.t_d),
+            "duality_gap": fmt(result.duality_gap),
+            "iterations": result.iterations,
+        }
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -190,9 +222,14 @@ def _cmd_simulate(args) -> int:
     specs = [_spec_from_args(args, kind.strip()) for kind in args.estimators.split(",")]
     report = harness_mod.evaluate_risk(specs, dists, args.n_frac, trials=args.trials, seed=args.seed)
     if args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        _print_csv([f.name for f in fields(harness_mod.RiskRow)], map(astuple, report.rows))
     else:
-        print(json.dumps(report.to_json_dict(), indent=2, allow_nan=False))
+        # a non-finite float, such as a failed row's NaN, prints as null
+        records = [
+            {key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in asdict(r).items()}
+            for r in report.rows
+        ]
+        print(json.dumps(records, indent=2, allow_nan=False))
     return 0 if any(not r.error for r in report.rows) else 2
 
 
@@ -200,7 +237,7 @@ def _cmd_converge(args) -> int:
     spec = _spec_from_args(args, "rwc")
     s_list = [int(x) for x in args.s_list.split(",")]
     report = harness_mod.grid_convergence_study(args.k, args.n, s_list, spec)
-    sys.stdout.write(report.to_csv())
+    _print_csv(("s", "d", "t_d"), ((r.s, r.d, r.t_d) for r in report.rows))
     exponent = "NA" if report.rate_exponent is None else fmt(report.rate_exponent)
     print(f"# t_ref={fmt(report.t_ref)} rate_exponent={exponent}")
     return 0
@@ -216,9 +253,7 @@ def _cmd_bias_curve(args) -> int:
         p, lo, hi = result.coeffs, result.problem.points[0], result.problem.points[-1]
     lams = build_grid(lo, hi, args.points)
     var, bias, g = objective_values(p, lams, 1.0 / args.k)
-    print("lambda,bias,variance_term,g")
-    for row in zip(lams, bias, var, g):
-        print(",".join(map(fmt, row)))
+    _print_csv(("lambda", "bias", "variance_term", "g"), zip(lams, bias, var, g))
     return 0
 
 

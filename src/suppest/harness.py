@@ -6,21 +6,20 @@ splittable child seeds keyed by (distribution, n, trial), cells run serially
 in a fixed order, and within a cell the distinct RWC-S counts are solved in
 sorted order, each warm-started from the previous solve.  The warm start makes
 the stored coefficients depend on that order (within the solver tolerance),
-which is why the order is fixed.  Reports carry no wall-clock times, so
-repeated runs are byte-identical.
+which is why the order is fixed.  Reports are plain values with no
+wall-clock times, so repeated runs give equal reports.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data as data_mod
 from . import estimators as est_mod
-from .sip import NonConvergenceError, RankDeficiencyError, fmt
+from .sip import NonConvergenceError, RankDeficiencyError
 
 
 @dataclass(frozen=True)
@@ -56,21 +55,6 @@ class RiskReport:
             raise ValueError(f"no successful rows for estimator {estimator!r}")
         return max(values)
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(f.name for f in fields(RiskRow)) + "\n")
-        for r in self.rows:
-            cells = (getattr(r, f.name) for f in fields(RiskRow))
-            out.write(",".join(fmt(c) if isinstance(c, float) else str(c) for c in cells) + "\n")
-        return out.getvalue()
-
-    def to_json_dict(self) -> list[dict]:
-        """Rows as dicts; a non-finite float, such as a failed row's NaN, becomes None (JSON null)."""
-        return [
-            {key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in asdict(r).items()}
-            for r in self.rows
-        ]
-
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -84,13 +68,6 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
     t_ref: float
     rate_exponent: float | None
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("s,d,t_d\n")
-        for r in self.rows:
-            out.write(f"{r.s},{fmt(r.d)},{fmt(r.t_d)}\n")
-        return out.getvalue()
 
 
 def _cell_estimates(spec, dist, n, fps, cache) -> list[float]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, _log_factorials, g_values, objective_values
+from .poly import Polynomial, _log_factorials, objective_values
 
 # Beyond lambda = 6.5 * L the objective decreases in lambda for every
 # degree-L coefficient vector, so the optimization interval can stop there.
@@ -45,11 +45,6 @@ MAX_ITER = 100
 
 # Certified duality-gap tolerance of a solve.
 TOL = 1e-8
-
-
-def fmt(x: float) -> str:
-    """A float as %.17g text, which reads back as the same double; every report prints floats so."""
-    return format(x, ".17g")
 
 
 class RankDeficiencyError(RuntimeError):
@@ -99,23 +94,6 @@ class SolveResult:
     duality_gap: float
     iterations: int
     dual_weights: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        """The solved problem and its certified solution, floats as %.17g."""
-        points = self.problem.points
-        per_count, tail = g_values(self.coeffs)
-        return {
-            "degree": self.problem.degree,
-            "reg_weight": fmt(self.problem.reg_weight),
-            "interval": [fmt(points[0]), fmt(points[-1])],
-            "grid_points": len(points),
-            "g_values": [fmt(g) for g in per_count],
-            "g_tail": fmt(tail),
-            "coeffs": [fmt(c) for c in self.coeffs.coeffs],
-            "t_d": fmt(self.t_d),
-            "duality_gap": fmt(self.duality_gap),
-            "iterations": self.iterations,
-        }
 
 
 def localized_interval(n: float, k: float, degree: int) -> tuple[float, float]:

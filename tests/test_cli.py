@@ -1,17 +1,37 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
 from suppest import data as data_mod
-from suppest.cli import main
-from suppest.estimators import EstimatorSpec, estimate
+from suppest.cli import _print_csv, main
+from suppest.estimators import EstimatorSpec, estimate, rwc_coefficients
+from suppest.harness import evaluate_risk, grid_convergence_study
+from suppest.poly import objective_values
+from suppest.sip import build_grid
+
+
+def g17(x):
+    """The %.17g text of a float, written out here so the tests do not read cli.fmt."""
+    return format(x, ".17g")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_print_csv_quotes_as_csv_module(capsys):
+    rows = [(1, 0.1, "plain"), (2, math.nan, "a, b"), (3, -0.0, 'say "hi"'), (4, 1e300, "two\nlines")]
+    _print_csv(("n", "x", "text"), rows)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("n", "x", "text"))
+    writer.writerows((n, g17(x), text) for n, x, text in rows)
+    assert capsys.readouterr().out == expected.getvalue()
 
 
 class TestEstimate:
@@ -51,6 +71,22 @@ class TestEstimate:
         lines = out.strip().splitlines()
         assert lines[0].startswith("estimator,value")
         assert lines[1].startswith("naive,4")
+
+    def test_csv_bytes(self, capsys, tmp_path):
+        text = "To be, or not to be"
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "estimate", str(path), "--estimator", "naive,gt", "--format", "csv")
+        assert code == 0
+        fp = data_mod.fingerprint(data_mod.histogram_from_tokens(data_mod.tokenize_text(text)))
+        naive, gt = (estimate(EstimatorSpec(kind), fp, fp.n).value for kind in ("naive", "gt"))
+        assert (fp.n, naive) == (6, 4.0)
+        # an int prints bare, a float as %.17g and a bool as True/False
+        assert out == (
+            "estimator,value,n,k,k_assumed_equal_n\n"
+            "naive,4,6,6,True\n"
+            f"gt,{g17(gt)},6,6,True\n"
+        )
 
     @pytest.mark.parametrize("estimator", ["rwc-s", "naive"])
     @pytest.mark.parametrize("content", ["", " ,. --\n\n"])
@@ -263,6 +299,68 @@ class TestSimulate:
         assert row["error"].startswith("CoverageZeroError")
         assert [row[key] for key in ("mean", "std", "mse", "nmse_k2", "nmse_s2")] == [None] * 5
 
+    def test_csv_deterministic_run_to_run(self, capsys):
+        # zipf(1), zipf(0.25) and benford all have k = 101, so at n = k their
+        # rwc-s cells share cache entries solved along one warm-started chain
+        dists = [
+            data_mod.make_distribution("zipf", 1e-2, alpha=1.0),
+            data_mod.make_distribution("zipf", 1e-2, alpha=0.25),
+            data_mod.make_distribution("benford", 1e-2),
+        ]
+        assert len({d.k for d in dists}) == 1
+        argv = (
+            "simulate", "--dist", "zipf:1,zipf:0.25,benford", "--min-mass", "1e-2", "--n-frac", "0.5,1",
+            "--trials", "6", "--seed", "9", "--estimators", "rwc-s,naive,gt",
+        )
+        code, a, _ = run(capsys, *argv)
+        assert code == 0
+        assert not any(row["error"] for row in csv.DictReader(a.splitlines()))
+        code, b, _ = run(capsys, *argv)
+        assert code == 0
+        assert a == b
+
+    def test_runtime_kept_out_of_csv(self, capsys):
+        # no wall-clock field in either format: both are pure functions of the inputs
+        argv = ("simulate", "--dist", "uniform", "--min-mass", "1e-2", "--n-frac", "0.1", "--trials", "1",
+                "--seed", "0", "--estimators", "naive")
+        _, out, _ = run(capsys, *argv)
+        header = out.splitlines()[0].split(",")
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert header == list(json.loads(out)[0])
+        assert "runtime" not in header
+
+    def test_failed_row_csv_bytes(self, capsys):
+        # all-singleton samples break Good-Turing: its statistics print nan
+        argv = ("--dist", "uniform", "--min-mass", "1e-6", "--n-frac", "3e-6", "--trials", "2", "--estimators", "gt,naive")
+        code, out, _ = run(capsys, "simulate", *argv)
+        assert code == 0
+        report = evaluate_risk(
+            [EstimatorSpec(kind) for kind in ("gt", "naive")],
+            [data_mod.make_distribution("uniform", 1e-6)], [3e-6], trials=2, seed=0,
+        )
+        gt, naive = report.rows
+        assert math.isnan(gt.mse) and "," not in gt.error
+        stats = ",".join(g17(x) for x in (naive.mean, naive.std, naive.mse, naive.nmse_k2, naive.nmse_s2))
+        assert out == (
+            "estimator,distribution,n,trials,mean,std,mse,nmse_k2,nmse_s2,seed,error\n"
+            f"gt,uniform,3,2,nan,nan,nan,nan,nan,0,{gt.error}\n"
+            f"naive,uniform,3,2,{stats},0,\n"
+        )
+
+    def test_error_with_comma_is_quoted(self, capsys):
+        # n = 0: the rwc-s and wy messages hold commas, which must stay inside the error field
+        argv = ("--dist", "uniform", "--min-mass", "1e-2", "--n-frac", "0", "--trials", "2", "--estimators", "rwc-s,wy,naive")
+        code, out, _ = run(capsys, "simulate", *argv)
+        assert code == 0
+        report = evaluate_risk(
+            [EstimatorSpec(kind) for kind in ("rwc-s", "wy", "naive")],
+            [data_mod.make_distribution("uniform", 1e-2)], [0.0], trials=2, seed=0,
+        )
+        rows = list(csv.reader(out.splitlines()))
+        assert all(len(row) == 11 for row in rows)
+        assert [row[-1] for row in rows[1:]] == [r.error for r in report.rows]
+        assert sum("," in r.error for r in report.rows) == 2
+
 
 class TestConverge:
     def test_monotone_column(self, capsys):
@@ -282,6 +380,21 @@ class TestConverge:
         )
         assert code == 0
         assert "rate_exponent=NA" in out
+
+    def test_csv_shape(self, capsys):
+        code, out, _ = run(capsys, "converge", "--k", "1e4", "--n", "1e4", "--s-list", "11,21", "--tol", "1e-9")
+        assert code == 0
+        lines = [line for line in out.strip().splitlines() if not line.startswith("#")]
+        assert lines[0] == "s,d,t_d"
+        assert len(lines) == 3
+
+    def test_point_problem_bytes(self, capsys):
+        # degree 0: every grid size solves the point n/k = 1, so d prints 0
+        code, out, _ = run(capsys, "converge", "--k", "4", "--n", "4", "--s-list", "11,21")
+        assert code == 0
+        report = grid_convergence_study(4, 4, [11, 21], EstimatorSpec("rwc"))
+        t_d = g17(report.t_ref)
+        assert out == f"s,d,t_d\n11,0,{t_d}\n21,0,{t_d}\n# t_ref={t_d} rate_exponent=NA\n"
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -346,6 +459,13 @@ class TestBiasCurve:
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 1.0
 
+    def test_point_problem_bytes(self, capsys):
+        code, out, _ = run(capsys, "bias-curve", "--k", "4", "--n", "4", "--points", "5")
+        assert code == 0
+        p = rwc_coefficients(4, 4, EstimatorSpec("rwc")).coeffs
+        (var,), (bias,), (g,) = objective_values(p, build_grid(1.0, 1.0, 5), 1.0 / 4)
+        assert out == f"lambda,bias,variance_term,g\n1,{g17(bias)},{g17(var)},{g17(g)}\n"
+
     def test_too_few_points(self, capsys):
         code, out, err = run(capsys, "bias-curve", "--k", "1e4", "--n", "1e4", "--points", "1")
         assert code == 1
@@ -368,6 +488,8 @@ class TestParsing:
             (["coeffs", "--k", "1e4", "--n", "1e4", "--tol", "nan"], "--tol"),
             (["coeffs", "--k", "1e4", "--n", "1e4", "--n", "inf"], "--n"),
             (["coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "rwc-s", "--s-count", "inf"], "--s-count"),
+            # not a number at all
+            (["coeffs", "--k", "abc", "--n", "1"], "--k"),
         ],
     )
     def test_non_finite_number_rejected(self, capsys, tmp_path, argv, flag):
@@ -410,6 +532,9 @@ class TestParsing:
             (("simulate", "--trials", "1", "--estimators", "naive,gt", "--tol", "0"), "tol must be positive"),
             (("coeffs", "--k", "1e4", "--n", "1e4", "--s-count", "5"), "--s-count is read only by --estimator rwc-s, not rwc"),
             (("coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "wy", "--s-count", "5"), "--s-count is read only by --estimator rwc-s, not wy"),
+            # wy's degree floor(c0 ln k) must be at least 1
+            (("coeffs", "--estimator", "wy", "--k", "4", "--n", "1"), "k=4.0 too small: c0 ln k must be >= 1"),
+            (("coeffs", "--k", "1e4", "--n", "1e4", "--c0", "0"), "c0 and c1 must be positive"),
         ],
     )
     def test_input_error_is_one_line(self, capsys, argv, message):

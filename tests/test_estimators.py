@@ -132,6 +132,10 @@ class TestCountingAndGoodTuring:
         with pytest.raises(CoverageZeroError):
             good_turing(Fingerprint({1: 5}))
 
+    def test_empty_sample(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            good_turing(Fingerprint({}))
+
     @given(fingerprints.filter(lambda f: f.n >= 1 and f.h.get(1, 0) < f.n))
     def test_dominates_naive(self, fp):
         gt = good_turing(fp)

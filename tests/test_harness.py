@@ -49,22 +49,6 @@ class TestEvaluateRisk:
         assert report.worst_case("naive", "k2") == row.nmse_k2
         assert report.worst_case("naive", "s2") == row.nmse_s2
 
-    def test_csv_deterministic_run_to_run(self):
-        # zipf(1), zipf(0.25) and benford all have k = 101, so at n = k their
-        # rwc-s cells share cache entries solved along one warm-started chain
-        dists = [
-            make_distribution("zipf", 1e-2, alpha=1.0),
-            make_distribution("zipf", 1e-2, alpha=0.25),
-            make_distribution("benford", 1e-2),
-        ]
-        assert len({d.k for d in dists}) == 1
-        specs = [EstimatorSpec(kind) for kind in ("rwc-s", "naive", "gt")]
-        kwargs = dict(trials=6, seed=9)
-        a = evaluate_risk(specs, dists, [0.5, 1.0], **kwargs)
-        b = evaluate_risk(specs, dists, [0.5, 1.0], **kwargs)
-        assert not any(r.error for r in a.rows)
-        assert a.to_csv() == b.to_csv()
-
     def test_rwcs_warm_chain_certifies(self, monkeypatch):
         dist = make_distribution("zipf", 1e-3, alpha=0.5)
         n, k = 200, dist.k
@@ -121,14 +105,6 @@ class TestEvaluateRisk:
         dist = make_distribution("uniform", 1e-2)
         with pytest.raises(RuntimeError, match="solver bug"):
             evaluate_risk([EstimatorSpec("rwc", s=50)], [dist], [0.5], trials=1, seed=0)
-
-    def test_runtime_kept_out_of_csv(self):
-        # no wall-clock field in either format: both are pure functions of the inputs
-        dist = make_distribution("uniform", 1e-2)
-        report = evaluate_risk([EstimatorSpec("naive")], [dist], [0.1], trials=1, seed=0)
-        header = report.to_csv().splitlines()[0].split(",")
-        assert header == list(report.to_json_dict()[0])
-        assert "runtime" not in header
 
     def test_input_validation(self):
         dist = make_distribution("uniform", 1e-2)
@@ -207,13 +183,6 @@ class TestGridConvergenceStudy:
         report = grid_convergence_study(1e4, 1e4, [11], spec)
         assert len(report.rows) == 1
         assert report.rate_exponent is None
-
-    def test_csv_shape(self):
-        spec = EstimatorSpec("rwc", tol=1e-9)
-        report = grid_convergence_study(1e4, 1e4, [11, 21], spec)
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "s,d,t_d"
-        assert len(lines) == 3
 
     def test_empty_s_list(self):
         with pytest.raises(ValueError, match="s_list must not be empty"):

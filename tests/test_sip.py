@@ -71,6 +71,16 @@ def _standard_problem(s=1000, reg=1e-6, degree=7):
     return SipProblem(degree, build_grid(1.0, 6.5 * degree, s), reg)
 
 
+class TestSipProblem:
+    @pytest.mark.parametrize(
+        "degree, reg_weight, message",
+        [(-1, 1e-6, "degree must be >= 0"), (3, -1.0, "reg_weight must be >= 0")],
+    )
+    def test_rejects(self, degree, reg_weight, message):
+        with pytest.raises(ValueError, match=message):
+            SipProblem(degree, build_grid(1.0, 19.5, 50), reg_weight)
+
+
 class TestSolve:
     def test_degree_zero_closed_form(self):
         grid = build_grid(2.0, 10.0, 5)
