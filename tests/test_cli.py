@@ -88,6 +88,18 @@ class TestEstimate:
             f"gt,{g17(gt)},6,6,True\n"
         )
 
+    def test_line_order_does_not_change_output(self, capsys, tmp_path):
+        # the fingerprint is summed in count order, not in the order words first appear
+        lines = data_mod.bundled_corpus_path().read_text(encoding="utf-8").splitlines()
+        outs = []
+        for name, ordered in (("forward.txt", lines), ("reversed.txt", lines[::-1])):
+            path = tmp_path / name
+            path.write_text("".join(line + "\n" for line in ordered), encoding="utf-8")
+            code, out, _ = run(capsys, "estimate", str(path), "--estimator", "rwc,rwc-s,wy,gt,naive")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("estimator", ["rwc-s", "naive"])
     @pytest.mark.parametrize("content", ["", " ,. --\n\n"])
     def test_text_without_tokens_rejected(self, capsys, tmp_path, content, estimator):

@@ -53,6 +53,10 @@ def stream_counts(raw: bytes, block: int) -> dict:
         return histogram_from_text(io.BytesIO(raw))
 
 
+# letters that fold and lowercase in context, separators, and non-BMP characters
+TEXT_ALPHABET = "aZé'Σς Α._-:`^\n\r\t\x0b\x0c𝔸İ9"
+
+
 class TestHistogramFromText:
     @pytest.mark.parametrize(
         "text",
@@ -70,11 +74,18 @@ class TestHistogramFromText:
             "plain words here A.Σ Σ.A\n\x0bmore\x0cwords 𝔸ΣΑ ascii only\ttail",
             "",
             "snake_case __x__ 𝔸𝔹 İstanbul\n\n\n",
+            # the 12-byte edge of the uint64 keys, and the largest keys
+            "abcdefghijkl ABCDEFGHIJKLM abcdefghijkl\nabcdefghijklm 0123456789'a\n",
+            "'" * 12 + " 999999999999 " + "'" * 12 + "\n" + "'" * 13 + " 9999999999999\n",
+            # the same words in non-ASCII and in ASCII blocks
+            "word Internationalization é\nword\ninternationalization word\n",
+            # long tokens only
+            "Internationalization incomprehensibilities\nextraordinarily 1234567890123\n",
         ],
     )
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 16])
     def test_matches_whole_text(self, text, block):
-        assert list(stream_counts(text.encode(), block).items()) == list(whole_text_counts(text).items())
+        assert stream_counts(text.encode(), block) == whole_text_counts(text)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 64])
     def test_invalid_byte_after_split_character(self, block):
@@ -91,7 +102,14 @@ class TestHistogramFromText:
         assert stream_counts(raw, 4096) == histogram_from_tokens(tokenize_text(raw.decode("utf-8")))
 
     @given(
-        st.text(alphabet="aZé'Σς Α._-:`^\n\r\t\x0b\x0c𝔸İ9", max_size=80),
+        st.one_of(
+            st.text(alphabet=TEXT_ALPHABET, max_size=80),
+            # tokens about as long as a uint64 key allows, among the same characters
+            st.lists(
+                st.one_of(st.text(alphabet="aZ9'", min_size=11, max_size=14), st.text(alphabet=TEXT_ALPHABET, max_size=6)),
+                max_size=8,
+            ).map(" ".join),
+        ),
         st.integers(1, 64),
         st.one_of(st.none(), st.tuples(st.integers(0, 200), st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xe2\x82"]))),
     )
@@ -106,7 +124,7 @@ class TestHistogramFromText:
             with pytest.raises(IngestionError, match=rf"byte offset {exc.start}$"):
                 stream_counts(raw, block)
         else:
-            assert list(stream_counts(raw, block).items()) == list(expected.items())
+            assert stream_counts(raw, block) == expected
 
     def test_ascii_fold_matches_tokenize(self):
         """The ASCII table gives tokenize_text's tokens for every code point."""
@@ -213,6 +231,9 @@ class TestFingerprint:
     def test_invalid_count_rejected(self, count):
         with pytest.raises(ValueError, match="integer counts"):
             fingerprint({"a": count})
+
+    def test_ascending_count_order(self):
+        assert list(Fingerprint({7: 1, 2.0: 3, 1: 2}).h.items()) == [(1, 2), (2, 3), (7, 1)]
 
     def test_integral_float_count(self):
         h = fingerprint({"a": 2.0}).h

@@ -101,6 +101,14 @@ class TestApplyPolyEstimator:
         fp = Fingerprint({5: 3, 9: 2})
         assert apply_poly_estimator(fp, Polynomial((-1.0, 0.5))) == 5.0
 
+    def test_independent_of_insertion_order(self):
+        # g(1) = 1e16 and g(2) = g(3) = 1: summed in the order 1, 2, 3 each 1
+        # rounds away, in the order 2, 3, 1 the 2 survives
+        p = Polynomial((-1.0, 1e16, 0.0, 0.0))
+        first = apply_poly_estimator(Fingerprint({1: 1, 2: 1, 3: 1}), p)
+        last = apply_poly_estimator(Fingerprint({2: 1, 3: 1, 1: 1}), p)
+        assert first.hex() == last.hex()
+
     @given(fingerprints, fingerprints)
     def test_linear_in_fingerprint(self, fa, fb):
         p = Polynomial((-1.0, 0.9, -0.3))
