@@ -9,6 +9,7 @@ from .data import (
     histogram_from_tokens,
     make_distribution,
     sample_fingerprint,
+    text_fingerprint,
     tokenize_text,
 )
 from .estimators import (

@@ -136,13 +136,12 @@ def _spec_from_args(args, kind: str) -> EstimatorSpec:
 
 def _cmd_estimate(args) -> int:
     if args.counts:
-        counts = data_mod.histogram_from_counts_file(args.input)
+        fp = data_mod.fingerprint(data_mod.histogram_from_counts_file(args.input))
     else:
         with open(args.input, "rb") as fh:
-            counts = data_mod.histogram_from_text(fh)
-    if not counts:
+            fp = data_mod.text_fingerprint(fh)
+    if not fp.h:
         raise data_mod.IngestionError("no counts" if args.counts else "input has no tokens")
-    fp = data_mod.fingerprint(counts)
     k_assumed = args.k is None
     if not k_assumed and args.k < fp.distinct:
         # k bounds 1/min-mass, which is at least the support

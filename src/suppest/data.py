@@ -26,30 +26,6 @@ _TOKEN_RE = re.compile(r"[\w']+")
 # arrays of an ASCII block take several times its size.
 _BLOCK_BYTES = 1 << 18
 
-# ASCII whitespace: text blocks are cut after it.
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-# The bytes of ASCII tokens.
-_KEY_ALPHABET = b"abcdefghijklmnopqrstuvwxyz0123456789'"
-
-# On ASCII bytes, lowercasing and tokenizing in one table: A-Z maps to a-z,
-# [a-z0-9'] is kept and every other byte becomes a space.
-_ASCII_FOLD = bytes(c if c in _KEY_ALPHABET else 32 for c in bytes(range(256)).lower())
-
-# An ASCII token of at most _KEY_BYTES bytes is counted as a uint64 key: the
-# bijective base-38 numeral of its bytes, each byte folded and then read as
-# the digit _KEY_DIGIT[byte] (1-37; 0 outside tokens).  No digit is 0, so
-# distinct tokens have distinct keys, and the largest key, 38**12 - 1, is
-# below 2**64.
-_KEY_BYTES = 12
-_KEY_DIGIT = bytes(_KEY_ALPHABET.find(c) + 1 for c in _ASCII_FOLD)
-# Digit -> byte, 0 -> space.
-_KEY_CHARS = (b" " + _KEY_ALPHABET).ljust(256)
-
-# Keys turned back into str tokens at a time.
-_DECODE_KEYS = 1 << 14
-
-
 class IngestionError(ValueError):
     pass
 
@@ -119,109 +95,32 @@ def _blocks(fh, seps: bytes):
         yield offset, piece
 
 
-class _KeyCounts:
-    """Counts of uint64 keys: a sorted vocabulary and the per-block counts not
-    yet merged into it.  They are merged once they hold more keys than the
-    vocabulary, so memory stays within a few times the vocabulary plus one
-    block, and a merge sorts at most about twice the keys added since the
-    last one."""
-
-    def __init__(self):
-        self.keys = np.zeros(0, np.uint64)
-        self.counts = np.zeros(0, np.int64)
-        self.pending = []
-        self.pending_keys = 0
-
-    def add(self, keys):
-        keys, counts = np.unique(keys, return_counts=True)
-        self.pending.append((keys, counts))
-        self.pending_keys += keys.size
-        if self.pending_keys > self.keys.size:
-            self.merge()
-
-    def merge(self):
-        if not self.pending_keys:
-            return
-        keys = np.concatenate([self.keys, *(k for k, _ in self.pending)])
-        counts = np.concatenate([self.counts, *(c for _, c in self.pending)])
-        order = keys.argsort(kind="stable")  # a merge of sorted runs
-        keys, counts = keys[order], counts[order]
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        self.keys, self.counts = keys[first], np.add.reduceat(counts, first)
-        self.pending, self.pending_keys = [], 0
-
-
-def _count_ascii(raw: bytes, key_counts: _KeyCounts, other: Counter):
-    """Count the tokens of an ASCII block: those of at most _KEY_BYTES bytes
-    as keys into `key_counts`, longer ones as str into `other`."""
-    digits = np.frombuffer(raw.translate(_KEY_DIGIT), np.uint8)
-    in_token = np.zeros(digits.size + 2, bool)
-    np.not_equal(digits, 0, out=in_token[1:-1])
-    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
-    starts, lengths = edges[::2], edges[1::2] - edges[::2]
-    short = lengths <= _KEY_BYTES
-    if not short.all():
-        # blank all but the long tokens and split: the block is runs of
-        # gap, token, gap, ..., token, gap bytes
-        in_long = np.zeros(edges.size + 1, bool)
-        in_long[1::2] = ~short
-        in_long = np.repeat(in_long, np.diff(edges, prepend=0, append=digits.size))
-        other.update((digits * in_long).tobytes().translate(_KEY_CHARS).decode("ascii").split())
-        starts, lengths = starts[short], lengths[short]
-    # Horner's rule over byte positions; the tokens are taken longest first,
-    # so those with a byte at position i are a prefix
-    order = (_KEY_BYTES - lengths).astype(np.uint8).argsort(kind="stable")
-    starts = starts[order]
-    longer_than = starts.size - np.cumsum(np.bincount(lengths, minlength=_KEY_BYTES))
-    keys = np.zeros(starts.size, np.uint64)
-    for i, running in enumerate(longer_than[: int(lengths.max(initial=0))].tolist()):
-        head = keys[:running]
-        head *= 38
-        head += digits[starts[:running] + i]
-    key_counts.add(keys)
-
-
-def _tokens_of_keys(keys) -> list[str]:
-    """The str token of each key, in order."""
-    rows = np.zeros((keys.size, _KEY_BYTES + 1), np.uint8)  # digits; the last column separates tokens
-    rest = keys.copy()
-    # the last digit of a bijective numeral r > 0 is (r - 1) % 38 + 1, and the
-    # rest (r - 1) // 38; a key whose digits have run out stays 0
-    for col in range(_KEY_BYTES - 1, -1, -1):
-        live = rest != 0
-        rest -= live
-        rows[:, col] = (rest % 38 + 1) * live
-        rest //= 38
-    return rows.tobytes().translate(_KEY_CHARS).decode("ascii").split()
-
-
 def histogram_from_text(fh) -> Counter:
     """Token -> count of the tokens of a UTF-8 text read from a binary file.
 
-    The file is read in blocks cut after ASCII whitespace, which no token and
-    no lowercasing context crosses (Greek final sigma looks back across "."
-    and "'", never across whitespace).  An ASCII block is tokenized by a
-    bytes translation and counted in numpy, a token as an exact uint64 key
-    (see _KEY_DIGIT) or, past _KEY_BYTES bytes, as a str; any other block is
-    tokenized by `tokenize_text`.  The keys become str tokens once, at the
-    end, so the result's order is not the order of first appearance.
-    Memory is bounded by the vocabulary plus one block plus the longest run
+    The text is read in blocks and counted as by `_text.text_counts`, and
+    the uint64 keys become str tokens once, at the end, so the result's order
+    is not the order of first appearance.  Memory is bounded by the
+    vocabulary plus workers + 1 blocks (a pool of at most `_text._MAX_WORKERS`
+    threads) plus the longest run without whitespace, whatever the file size.
+    """
+    from . import _text  # compiled on first use, so that other commands skip it
+
+    return _text.histogram(fh)
+
+
+def text_fingerprint(fh) -> Fingerprint:
+    """Fingerprint of the tokens of a UTF-8 text read from a binary file.
+
+    The counts are those of `histogram_from_text`, and no key is turned back
+    into a str.  Memory is bounded by the vocabulary plus workers + 1 blocks
+    (a pool of at most `_text._MAX_WORKERS` threads) plus the longest run
     without whitespace, whatever the file size.
     """
-    key_counts, other = _KeyCounts(), Counter()
-    for offset, raw in _blocks(fh, _WHITESPACE):
-        if raw.isascii():
-            _count_ascii(raw, key_counts, other)
-        else:
-            other.update(tokenize_text(_decode(offset, raw)))
-    key_counts.merge()
-    counts = Counter()
-    for lo in range(0, key_counts.keys.size, _DECODE_KEYS):
-        hi = lo + _DECODE_KEYS
-        # the tokens of distinct keys are distinct: set, not add
-        dict.update(counts, zip(_tokens_of_keys(key_counts.keys[lo:hi]), key_counts.counts[lo:hi].tolist()))
-    counts.update(other)
-    return counts
+    from . import _text
+
+    key_counts, other = _text.text_counts(fh)
+    return _fingerprint_of(np.concatenate([key_counts.counts, np.fromiter(other.values(), np.int64, len(other))]))
 
 
 def histogram_from_tokens(tokens) -> Counter:
@@ -258,6 +157,17 @@ def histogram_from_counts_file(path) -> dict:
 def fingerprint(counts) -> Fingerprint:
     """Counts of counts of a symbol -> count mapping."""
     return Fingerprint(dict(Counter(counts.values())))
+
+
+def _fingerprint_of(counts) -> Fingerprint:
+    """Counts of counts of an int array of positive counts, in memory of the
+    array's size: the counts above counts.size are fewer than
+    sum(counts) / counts.size, and only those are not counted by np.bincount."""
+    small = counts <= counts.size
+    freq = np.bincount(counts[small])
+    h = {int(j): int(freq[j]) for j in np.flatnonzero(freq)}
+    h.update(Counter(counts[~small].tolist()))
+    return Fingerprint(h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,9 +271,7 @@ def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
 def sample_fingerprint(dist: DistributionSpec, n: int, seed) -> Fingerprint:
     """Fingerprint of a sample without materializing the symbol histogram."""
     counts = sample_counts(dist, n, seed)
-    counts = counts[counts > 0]
-    freq = np.bincount(counts)
-    return Fingerprint({int(j): int(freq[j]) for j in np.flatnonzero(freq)})
+    return _fingerprint_of(counts[counts > 0])
 
 
 def bundled_corpus_path():

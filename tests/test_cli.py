@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_thread_pool_out():
+    # only text ingestion imports the counting engine and the pool: each adds
+    # to the peak memory of every command
+    src = str(Path(data_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, suppest.cli; print([m in sys.modules for m in ('suppest.data', 'suppest._text', 'concurrent.futures')])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[True, False, False]\n"
 
 
 def test_print_csv_quotes_as_csv_module(capsys):

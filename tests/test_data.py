@@ -1,6 +1,8 @@
 import io
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from suppest import _text as text_mod
 from suppest import data as data_mod
 from suppest.data import (
     DistributionSpec,
@@ -22,6 +25,7 @@ from suppest.data import (
     make_distribution,
     sample_counts,
     sample_fingerprint,
+    text_fingerprint,
     tokenize_text,
 )
 
@@ -51,6 +55,20 @@ def stream_counts(raw: bytes, block: int) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_mod, "_BLOCK_BYTES", block)
         return histogram_from_text(io.BytesIO(raw))
+
+
+def stream_fingerprint(raw: bytes, block: int) -> Fingerprint:
+    """text_fingerprint read in `block`-byte reads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, "_BLOCK_BYTES", block)
+        return text_fingerprint(io.BytesIO(raw))
+
+
+def assert_both_raise(raw: bytes, block: int, offset: int):
+    """Both text readers reject `raw` with the same byte offset."""
+    for read in (stream_counts, stream_fingerprint):
+        with pytest.raises(IngestionError, match=rf"invalid UTF-8 at byte offset {offset}$"):
+            read(raw, block)
 
 
 # letters that fold and lowercase in context, separators, and non-BMP characters
@@ -85,17 +103,23 @@ class TestHistogramFromText:
     )
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 16])
     def test_matches_whole_text(self, text, block):
-        assert stream_counts(text.encode(), block) == whole_text_counts(text)
+        expected = whole_text_counts(text)
+        assert stream_counts(text.encode(), block) == expected
+        assert stream_fingerprint(text.encode(), block) == fingerprint(expected)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 64])
     def test_invalid_byte_after_split_character(self, block):
-        with pytest.raises(IngestionError, match=r"invalid UTF-8 at byte offset 5$"):
-            stream_counts(b"abc\xc3\xa9\xffz", block)
+        assert_both_raise(b"abc\xc3\xa9\xffz", block, 5)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     def test_truncated_character_at_end(self, block):
-        with pytest.raises(IngestionError, match=r"byte offset 2$"):
-            stream_counts(b"ab\xc3", block)
+        assert_both_raise(b"ab\xc3", block, 2)
+
+    @pytest.mark.parametrize("block", [16, 64, 1 << 18])
+    def test_first_of_two_invalid_bytes(self, block):
+        # ASCII blocks in flight on the pool, then two bad blocks several blocks apart
+        raw = b"ascii words " * 400 + b"\xff" + b"more words " * 400 + b"\xfe tail\n"
+        assert_both_raise(raw, block, 4800)
 
     def test_bundled_corpus(self):
         raw = bundled_corpus_path().read_bytes()
@@ -121,17 +145,17 @@ class TestHistogramFromText:
         try:
             expected = whole_text_counts(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            with pytest.raises(IngestionError, match=rf"byte offset {exc.start}$"):
-                stream_counts(raw, block)
+            assert_both_raise(raw, block, exc.start)
         else:
             assert stream_counts(raw, block) == expected
+            assert stream_fingerprint(raw, block) == fingerprint(expected)
 
     def test_ascii_fold_matches_tokenize(self):
         """The ASCII table gives tokenize_text's tokens for every code point."""
         mismatched = []
         for c in range(128):
             text = "a" + chr(c) + "B"
-            fast = text.encode().translate(data_mod._ASCII_FOLD).decode("ascii").split()
+            fast = text.encode().translate(text_mod._ASCII_FOLD).decode("ascii").split()
             if fast != tokenize_text(text):
                 mismatched.append(c)
         assert not mismatched
@@ -141,21 +165,48 @@ class TestHistogramFromText:
         vocab = [f"word{i}" for i in range(300)]
         for end in ("\n", " "):  # lines, and a text with no newline at all
             one = "".join(" ".join(vocab[(7 * j + i) % 300] for i in range(12)) + end for j in range(100))
-            peaks = {}
-            for copies in (1, 8):
-                path = tmp_path / f"text{copies}.txt"
-                path.write_text(one * copies)
-                with open(path, "rb") as fh:
-                    histogram_from_text(fh)  # warm up regex and codec caches
-                with open(path, "rb") as fh:
-                    tracemalloc.start()
-                    try:
-                        hist = histogram_from_text(fh)
-                        peaks[copies] = tracemalloc.get_traced_memory()[1]
-                    finally:
-                        tracemalloc.stop()
-                assert len(hist) == 300 and sum(hist.values()) == 1200 * copies
-            assert peaks[8] <= 1.5 * peaks[1], (end, peaks)
+            for read in (histogram_from_text, text_fingerprint):
+                peaks = {}
+                for copies in (1, 8):
+                    path = tmp_path / f"text{copies}.txt"
+                    path.write_text(one * copies)
+                    with open(path, "rb") as fh:
+                        read(fh)  # warm up regex and codec caches
+                    with open(path, "rb") as fh:
+                        tracemalloc.start()
+                        try:
+                            result = read(fh)
+                            peaks[copies] = tracemalloc.get_traced_memory()[1]
+                        finally:
+                            tracemalloc.stop()
+                    fp = fingerprint(result) if read is histogram_from_text else result
+                    assert fp.distinct == 300 and fp.n == 1200 * copies
+                assert peaks[8] <= 1.5 * peaks[1], (read.__name__, end, peaks)
+
+    def test_many_workers_match_whole_text(self, monkeypatch):
+        # more threads than cores, switching threads often
+        monkeypatch.setattr(text_mod, "_MAX_WORKERS", 8)
+        monkeypatch.setattr(text_mod.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(text_mod.os, "cpu_count", lambda: 8)
+        text = ("plain words here " * 5 + "Internationalization naïve Σ\n" + "ascii only line\n" * 3) * 60
+        expected = whole_text_counts(text)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert stream_fingerprint(text.encode(), 64) == fingerprint(expected)
+            assert stream_counts(text.encode(), 64) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_threads_end_with_the_call(self, monkeypatch):
+        monkeypatch.setattr(data_mod, "_BLOCK_BYTES", 64)
+        before = threading.active_count()
+        text = b"ascii words only " * 200
+        assert text_fingerprint(io.BytesIO(text)) == fingerprint(whole_text_counts(text.decode()))
+        assert threading.active_count() == before
+        with pytest.raises(IngestionError, match="byte offset 1700$"):
+            text_fingerprint(io.BytesIO(text[:1700] + b"\xff" + text))
+        assert threading.active_count() == before
 
 
 def counts_from_lines(tmp_path, lines) -> dict:
@@ -222,6 +273,10 @@ class TestFingerprint:
 
     def test_single_symbol(self):
         assert fingerprint({"x": 7}).h == {7: 1}
+
+    def test_counts_above_array_size(self):
+        # a bincount up to the largest count would take 8 TB
+        assert data_mod._fingerprint_of(np.array([10**12, 1, 3, 1, 10**12])).h == {1: 2, 3: 1, 10**12: 2}
 
     def test_invalid_entries(self):
         with pytest.raises(ValueError):
