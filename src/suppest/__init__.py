@@ -5,7 +5,6 @@ from .data import (
     Fingerprint,
     fingerprint,
     histogram_from_counts_file,
-    histogram_from_text,
     histogram_from_tokens,
     make_distribution,
     sample_fingerprint,

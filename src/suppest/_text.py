@@ -1,9 +1,8 @@
 """Counting the tokens of a UTF-8 text file in blocks, ASCII blocks in numpy
-on a pool of threads: the engine of `data.histogram_from_text` and
-`data.text_fingerprint`.
+on a pool of threads: the engine of `data.text_fingerprint`.
 
-Only those two import this module, when first called, so that commands
-which read no text neither compile it nor load the thread pool.
+Only it imports this module, when first called, so that commands which
+read no text neither compile it nor load the thread pool.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ _KEY_CHARS = (b" " + _KEY_ALPHABET).ljust(256)
 
 # Threads that count ASCII blocks, at most.
 _MAX_WORKERS = 4
-
-# Keys turned back into str tokens at a time.
-_DECODE_KEYS = 1 << 14
 
 
 class _KeyCounts:
@@ -120,20 +116,6 @@ def _count_ascii(raw: bytes):
     return np.unique(keys, return_counts=True), long_digits
 
 
-def _tokens_of_keys(keys) -> list[str]:
-    """The str token of each key, in order."""
-    rows = np.zeros((keys.size, _KEY_BYTES + 1), np.uint8)  # digits; the last column separates tokens
-    rest = keys.copy()
-    # the last digit of a bijective numeral r > 0 is (r - 1) % 38 + 1, and the
-    # rest (r - 1) // 38; a key whose digits have run out stays 0
-    for col in range(_KEY_BYTES - 1, -1, -1):
-        live = rest != 0
-        rest -= live
-        rows[:, col] = (rest % 38 + 1) * live
-        rest //= 38
-    return rows.tobytes().translate(_KEY_CHARS).decode("ascii").split()
-
-
 def text_counts(fh) -> tuple[_KeyCounts, Counter]:
     """The token counts of a UTF-8 text read from a binary file, in two parts
     that share no token: every ASCII token of at most _KEY_BYTES bytes as a
@@ -184,15 +166,3 @@ def text_counts(fh) -> tuple[_KeyCounts, Counter]:
     key_counts.merge()
     return key_counts, other
 
-
-def histogram(fh) -> Counter:
-    """Token -> count of the tokens of a text: the two parts of `text_counts`,
-    with the keys turned into str tokens once, at the end."""
-    key_counts, other = text_counts(fh)
-    counts = Counter()
-    for lo in range(0, key_counts.keys.size, _DECODE_KEYS):
-        hi = lo + _DECODE_KEYS
-        # the tokens of distinct keys are distinct: set, not add
-        dict.update(counts, zip(_tokens_of_keys(key_counts.keys[lo:hi]), key_counts.counts[lo:hi].tolist()))
-    dict.update(counts, other)  # no token is in both parts
-    return counts

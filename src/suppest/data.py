@@ -95,29 +95,10 @@ def _blocks(fh, seps: bytes):
         yield offset, piece
 
 
-def histogram_from_text(fh) -> Counter:
-    """Token -> count of the tokens of a UTF-8 text read from a binary file.
-
-    The text is read in blocks and counted as by `_text.text_counts`, and
-    the uint64 keys become str tokens once, at the end, so the result's order
-    is not the order of first appearance.  Memory is bounded by the
-    vocabulary plus workers + 1 blocks (a pool of at most `_text._MAX_WORKERS`
-    threads) plus the longest run without whitespace, whatever the file size.
-    """
-    from . import _text  # compiled on first use, so that other commands skip it
-
-    return _text.histogram(fh)
-
-
 def text_fingerprint(fh) -> Fingerprint:
-    """Fingerprint of the tokens of a UTF-8 text read from a binary file.
-
-    The counts are those of `histogram_from_text`, and no key is turned back
-    into a str.  Memory is bounded by the vocabulary plus workers + 1 blocks
-    (a pool of at most `_text._MAX_WORKERS` threads) plus the longest run
-    without whitespace, whatever the file size.
-    """
-    from . import _text
+    """Fingerprint of the tokens of a UTF-8 text read from a binary file: the
+    counts of both parts of `_text.text_counts`, which states the memory bound."""
+    from . import _text  # compiled on first use, so that other commands skip it
 
     key_counts, other = _text.text_counts(fh)
     return _fingerprint_of(np.concatenate([key_counts.counts, np.fromiter(other.values(), np.int64, len(other))]))

@@ -97,7 +97,10 @@ def evaluate_risk(specs, dists, n_fracs, trials: int, seed: int) -> RiskReport:
     rows = []
     for di, dist in enumerate(dists):
         for ni, frac in enumerate(n_fracs):
-            n = int(round(frac * dist.k))
+            n = frac * dist.k
+            if not math.isfinite(n):
+                raise ValueError(f"sample size n = {n:.6g} is too large to draw")
+            n = int(round(n))
             fps = [
                 data_mod.sample_fingerprint(dist, n, data_mod.child_seed(seed, di, ni, t))
                 for t in range(trials)

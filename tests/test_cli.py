@@ -561,6 +561,8 @@ class TestParsing:
             # wy's degree floor(c0 ln k) must be at least 1
             (("coeffs", "--estimator", "wy", "--k", "4", "--n", "1"), "k=4.0 too small: c0 ln k must be >= 1"),
             (("coeffs", "--k", "1e4", "--n", "1e4", "--c0", "0"), "c0 and c1 must be positive"),
+            # n = 1e306 k is past the float range
+            ((*SIMULATE, "uniform", "--n-frac", "1e306"), "sample size n = inf is too large to draw"),
         ],
     )
     def test_input_error_is_one_line(self, capsys, argv, message):

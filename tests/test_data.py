@@ -20,7 +20,6 @@ from suppest.data import (
     child_seed,
     fingerprint,
     histogram_from_counts_file,
-    histogram_from_text,
     histogram_from_tokens,
     make_distribution,
     sample_counts,
@@ -40,21 +39,51 @@ class TestTokenize:
     def test_apostrophe_kept(self):
         assert tokenize_text("Don't don't") == ["don't", "don't"]
 
-    def test_invalid_utf8(self):
-        with pytest.raises(IngestionError, match="byte offset 3$"):
-            histogram_from_text(io.BytesIO(b"ok \xff\xfe"))
-
 
 def whole_text_counts(text: str) -> Counter:
     """Oracle: the whole-text tokenization the streaming reader must match."""
     return Counter(re.findall(r"(?:[^\W_]|')+", text.lower()))
 
 
-def stream_counts(raw: bytes, block: int) -> dict:
-    """Counts of histogram_from_text read in `block`-byte reads."""
+def reference_key(token: str):
+    """The uint64 key of an ASCII token of at most 12 bytes, its bijective
+    base-38 numeral, written out here so that the tests do not read
+    _text._keys; None for every other token."""
+    raw = token.encode()
+    if len(raw) > 12 or not raw.isascii():
+        return None
+    key = 0
+    for b in raw:
+        key = 38 * key + text_mod._KEY_ALPHABET.index(b) + 1
+    return key
+
+
+def split_counts(counts) -> tuple[dict, Counter]:
+    """A token -> count oracle split as _text.text_counts splits it:
+    {key: count} of the tokens with a reference_key, and a Counter of the rest."""
+    keyed, other = {}, Counter()
+    for token, count in counts.items():
+        key = reference_key(token)
+        if key is None:
+            other[token] = count
+        else:
+            keyed[key] = count
+    return keyed, other
+
+
+def text_parts(fh) -> tuple[dict, Counter]:
+    """The two parts of _text.text_counts: {key: count} and the str Counter."""
+    key_counts, other = text_mod.text_counts(fh)
+    keys = key_counts.keys.tolist()
+    assert keys == sorted(set(keys))  # one count per key
+    return dict(zip(keys, key_counts.counts.tolist())), other
+
+
+def stream_parts(raw: bytes, block: int) -> tuple[dict, Counter]:
+    """text_parts read in `block`-byte reads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_mod, "_BLOCK_BYTES", block)
-        return histogram_from_text(io.BytesIO(raw))
+        return text_parts(io.BytesIO(raw))
 
 
 def stream_fingerprint(raw: bytes, block: int) -> Fingerprint:
@@ -64,11 +93,10 @@ def stream_fingerprint(raw: bytes, block: int) -> Fingerprint:
         return text_fingerprint(io.BytesIO(raw))
 
 
-def assert_both_raise(raw: bytes, block: int, offset: int):
-    """Both text readers reject `raw` with the same byte offset."""
-    for read in (stream_counts, stream_fingerprint):
-        with pytest.raises(IngestionError, match=rf"invalid UTF-8 at byte offset {offset}$"):
-            read(raw, block)
+def assert_raises_at(raw: bytes, block: int, offset: int):
+    """text_fingerprint rejects `raw`, naming the byte offset."""
+    with pytest.raises(IngestionError, match=rf"invalid UTF-8 at byte offset {offset}$"):
+        stream_fingerprint(raw, block)
 
 
 # letters that fold and lowercase in context, separators, and non-BMP characters
@@ -76,6 +104,9 @@ TEXT_ALPHABET = "aZé'Σς Α._-:`^\n\r\t\x0b\x0c𝔸İ9"
 
 
 class TestHistogramFromText:
+    """text_fingerprint, the one text reader, and the two parts of
+    _text.text_counts it is built from, checked token by token."""
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -104,26 +135,30 @@ class TestHistogramFromText:
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 16])
     def test_matches_whole_text(self, text, block):
         expected = whole_text_counts(text)
-        assert stream_counts(text.encode(), block) == expected
+        assert stream_parts(text.encode(), block) == split_counts(expected)
         assert stream_fingerprint(text.encode(), block) == fingerprint(expected)
+
+    def test_invalid_utf8(self):
+        with pytest.raises(IngestionError, match="byte offset 3$"):
+            text_fingerprint(io.BytesIO(b"ok \xff\xfe"))
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 64])
     def test_invalid_byte_after_split_character(self, block):
-        assert_both_raise(b"abc\xc3\xa9\xffz", block, 5)
+        assert_raises_at(b"abc\xc3\xa9\xffz", block, 5)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     def test_truncated_character_at_end(self, block):
-        assert_both_raise(b"ab\xc3", block, 2)
+        assert_raises_at(b"ab\xc3", block, 2)
 
     @pytest.mark.parametrize("block", [16, 64, 1 << 18])
     def test_first_of_two_invalid_bytes(self, block):
         # ASCII blocks in flight on the pool, then two bad blocks several blocks apart
         raw = b"ascii words " * 400 + b"\xff" + b"more words " * 400 + b"\xfe tail\n"
-        assert_both_raise(raw, block, 4800)
+        assert_raises_at(raw, block, 4800)
 
     def test_bundled_corpus(self):
         raw = bundled_corpus_path().read_bytes()
-        assert stream_counts(raw, 4096) == histogram_from_tokens(tokenize_text(raw.decode("utf-8")))
+        assert stream_parts(raw, 4096) == split_counts(histogram_from_tokens(tokenize_text(raw.decode("utf-8"))))
 
     @given(
         st.one_of(
@@ -145,9 +180,9 @@ class TestHistogramFromText:
         try:
             expected = whole_text_counts(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            assert_both_raise(raw, block, exc.start)
+            assert_raises_at(raw, block, exc.start)
         else:
-            assert stream_counts(raw, block) == expected
+            assert stream_parts(raw, block) == split_counts(expected)
             assert stream_fingerprint(raw, block) == fingerprint(expected)
 
     def test_ascii_fold_matches_tokenize(self):
@@ -165,7 +200,7 @@ class TestHistogramFromText:
         vocab = [f"word{i}" for i in range(300)]
         for end in ("\n", " "):  # lines, and a text with no newline at all
             one = "".join(" ".join(vocab[(7 * j + i) % 300] for i in range(12)) + end for j in range(100))
-            for read in (histogram_from_text, text_fingerprint):
+            for read, oracle in ((text_fingerprint, fingerprint), (text_parts, split_counts)):
                 peaks = {}
                 for copies in (1, 8):
                     path = tmp_path / f"text{copies}.txt"
@@ -179,8 +214,9 @@ class TestHistogramFromText:
                             peaks[copies] = tracemalloc.get_traced_memory()[1]
                         finally:
                             tracemalloc.stop()
-                    fp = fingerprint(result) if read is histogram_from_text else result
-                    assert fp.distinct == 300 and fp.n == 1200 * copies
+                    expected = whole_text_counts(one * copies)
+                    assert len(expected) == 300 and sum(expected.values()) == 1200 * copies
+                    assert result == oracle(expected)
                 assert peaks[8] <= 1.5 * peaks[1], (read.__name__, end, peaks)
 
     def test_many_workers_match_whole_text(self, monkeypatch):
@@ -194,7 +230,7 @@ class TestHistogramFromText:
         sys.setswitchinterval(1e-6)
         try:
             assert stream_fingerprint(text.encode(), 64) == fingerprint(expected)
-            assert stream_counts(text.encode(), 64) == expected
+            assert stream_parts(text.encode(), 64) == split_counts(expected)
         finally:
             sys.setswitchinterval(interval)
 
