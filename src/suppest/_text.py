@@ -8,6 +8,7 @@ read no text neither compile it nor load the thread pool.
 from __future__ import annotations
 
 import os
+import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,82 +27,117 @@ _KEY_ALPHABET = b"abcdefghijklmnopqrstuvwxyz0123456789'"
 # `data.tokenize_text`.
 _ASCII_FOLD = bytes(c if c in _KEY_ALPHABET else 32 for c in bytes(range(256)).lower())
 
-# An ASCII token of at most _KEY_BYTES bytes is counted as a uint64 key: the
-# bijective base-38 numeral of its bytes, each byte folded and then read as
-# the digit _KEY_DIGIT[byte] (1-37; 0 outside tokens).  No digit is 0, so
-# distinct tokens have distinct keys, and the largest key, 38**12 - 1, is
-# below 2**64.
+# An ASCII token of at most _KEY_BYTES bytes is counted as a uint64 key, made
+# of its bytes each folded and then read as the digit _KEY_DIGIT[byte] (1-37;
+# 0 outside tokens).  A token of at most 8 bytes is the little-endian number
+# of its digit bytes, below 2**63.  A longer one is its bijective base-38
+# numeral, below 38**12 < 2**63, with bit 63 set.  No digit is 0, so distinct
+# tokens have distinct keys.
 _KEY_BYTES = 12
 _KEY_DIGIT = bytes(_KEY_ALPHABET.find(c) + 1 for c in _ASCII_FOLD)
 # Digit -> byte, 0 -> space.
 _KEY_CHARS = (b" " + _KEY_ALPHABET).ljust(256)
+# Token length -> the mask of its digit bytes in an 8-byte read (all 8 past 8).
+_LOW_BYTES = np.array([(1 << 8 * min(n, 8)) - 1 for n in range(_KEY_BYTES + 1)], np.uint64)
+_NUMERAL_TAG = np.uint64(1 << 63)
 
 # Threads that count ASCII blocks, at most.
 _MAX_WORKERS = 4
 
 
 class _KeyCounts:
-    """Counts of uint64 keys: a sorted vocabulary and the runs of counts not
-    yet merged into it.  They are merged once they hold more keys than the
-    vocabulary, so memory stays within a few times the vocabulary plus one
-    block, and a merge sorts at most about twice the keys added since the
-    last one."""
+    """Counts of uint64 keys: a sorted vocabulary with its counts, and the
+    keys added since it was last brought up to date, with repeats.  Any
+    thread may add keys.  Once the added keys outnumber the vocabulary, the
+    thread that added the last of them sorts, counts and merges them into
+    it, unless another thread is merging: then they wait for a later add.
+    Each key is sorted once."""
 
     def __init__(self):
         self.keys = np.zeros(0, np.uint64)
         self.counts = np.zeros(0, np.int64)
         self.pending = []
-        self.pending_keys = 0
+        self.merging = threading.Lock()
 
-    def add(self, keys, counts):
-        """Add sorted distinct keys with their counts."""
-        self.pending.append((keys, counts))
-        self.pending_keys += keys.size
-        if self.pending_keys > self.keys.size:
-            self.merge()
+    def add(self, keys):
+        """Add keys in any order, with repeats."""
+        self.pending.append(keys)
+        if sum(map(len, self.pending)) > self.keys.size and self.merging.acquire(blocking=False):
+            try:
+                self.merge()
+            finally:
+                self.merging.release()
 
     def merge(self):
-        if not self.pending_keys:
+        """Count the keys added so far into the vocabulary: by one thread at
+        a time, while others may still add."""
+        taken = len(self.pending)
+        keys = np.concatenate(self.pending[:taken]) if taken else self.keys[:0]
+        del self.pending[:taken]
+        if not keys.size:
             return
-        keys = np.concatenate([self.keys, *(k for k, _ in self.pending)])
-        counts = np.concatenate([self.counts, *(c for _, c in self.pending)])
-        order = keys.argsort(kind="stable")  # a merge of sorted runs
-        keys, counts = keys[order], counts[order]
+        keys.sort()
         first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        self.keys, self.counts = keys[first], np.add.reduceat(counts, first)
-        self.pending, self.pending_keys = [], 0
+        self.update(keys[first], np.diff(first, append=keys.size))
+
+    def update(self, keys, counts):
+        """Merge sorted distinct keys with their counts into the vocabulary."""
+        if not self.keys.size:
+            self.keys, self.counts = keys, counts
+            return
+        at = np.searchsorted(self.keys, keys)
+        new = self.keys.take(at, mode="clip") != keys
+        if new.any():
+            self.keys = np.insert(self.keys, at[new], keys[new])
+            self.counts = np.insert(self.counts, at[new], 0)
+            # each key moves up by the number of new keys below it
+            at += np.cumsum(new) - new
+        self.counts[at] += counts
+
+
+def _digits(raw: bytes):
+    """The digit array (see _KEY_DIGIT) of ASCII bytes, followed by 8 zero
+    digits, so that an 8-byte read at any token start stays inside it."""
+    return np.frombuffer(raw.translate(_KEY_DIGIT) + bytes(8), np.uint8)
 
 
 def _token_edges(digits):
-    """The int32 byte positions where the tokens of a digit array (see
-    _KEY_DIGIT) start and end, alternately: a block is far below 2**31 bytes."""
+    """The int32 byte positions where the tokens of a digit array start and
+    end, alternately: a block is far below 2**31 bytes."""
     in_token = np.zeros(digits.size + 2, bool)
     np.not_equal(digits, 0, out=in_token[1:-1])
     return np.flatnonzero(in_token[1:] != in_token[:-1]).astype(np.int32)
 
 
 def _keys(digits, starts, lengths):
-    """The uint64 keys of tokens of at most _KEY_BYTES digits, and the order
-    of the tokens they belong to: keys[i] is the key of token order[i]."""
-    # Horner's rule over byte positions; the tokens are taken longest first,
-    # so those with a byte at position i are a prefix
-    order = (_KEY_BYTES - lengths).astype(np.uint8).argsort(kind="stable")
-    starts = starts[order]
-    longer_than = starts.size - np.cumsum(np.bincount(lengths, minlength=_KEY_BYTES))
-    keys = np.zeros(starts.size, np.uint64)
-    for i, running in enumerate(longer_than[: int(lengths.max(initial=0))].tolist()):
-        head = keys[:running]
-        head *= 38
-        head += digits[starts[:running] + i]
-    return keys, order
+    """The uint64 keys of the tokens of at most _KEY_BYTES digits that start
+    at `starts` in a _digits array, in the order of `starts`."""
+    # one unaligned little-endian read of the 8 bytes at each start
+    keys = np.ndarray(digits.size - 7, "<u8", digits, strides=(1,)).take(starts)
+    keys &= _LOW_BYTES.take(lengths)
+    numeral = np.flatnonzero(lengths > 8)
+    if numeral.size:
+        # Horner's rule over these tokens longest first, so that those with a
+        # digit at position i are a prefix; the first 8 digits are the bytes
+        # of their little-endian read, in order
+        numeral = numeral[(_KEY_BYTES - lengths[numeral]).astype(np.uint8).argsort(kind="stable")]
+        starts, lengths = starts[numeral], lengths[numeral]
+        read = keys[numeral].view(np.uint8).reshape(-1, 8)
+        tail = np.zeros(numeral.size, np.uint64)
+        for i in range(_KEY_BYTES):
+            head = tail[: np.count_nonzero(lengths > i)]
+            head *= 38
+            head += read[:, i] if i < 8 else digits[i:].take(starts[: head.size])
+        keys[numeral] = tail | _NUMERAL_TAG
+    return keys
 
 
 def _count_ascii(raw: bytes):
-    """Count the tokens of an ASCII block: the sorted distinct keys of those
-    of at most _KEY_BYTES bytes with their counts, and the digits of the
-    longer tokens, each followed by its gap (None if there are none).  Numpy
-    and bytes work only, which can run off the calling thread."""
-    digits = np.frombuffer(raw.translate(_KEY_DIGIT), np.uint8)
+    """The tokens of an ASCII block: the keys of those of at most _KEY_BYTES
+    bytes, in file order with repeats, and the digits of the longer tokens,
+    each followed by its gap (None if there are none).  Numpy and bytes work
+    only, which can run off the calling thread."""
+    digits = _digits(raw)
     edges = _token_edges(digits)
     starts, lengths = edges[::2], edges[1::2] - edges[::2]
     short = lengths <= _KEY_BYTES
@@ -112,8 +148,7 @@ def _count_ascii(raw: bytes):
         keep[1::2] = keep[2::2] = ~short
         long_digits = digits[np.repeat(keep, np.diff(edges, prepend=0, append=digits.size))].tobytes()
         starts, lengths = starts[short], lengths[short]
-    keys, _ = _keys(digits, starts, lengths)
-    return np.unique(keys, return_counts=True), long_digits
+    return _keys(digits, starts, lengths), long_digits
 
 
 def text_counts(fh) -> tuple[_KeyCounts, Counter]:
@@ -124,14 +159,18 @@ def text_counts(fh) -> tuple[_KeyCounts, Counter]:
     The file is read in blocks cut after ASCII whitespace, which no token and
     no lowercasing context crosses (Greek final sigma looks back across "."
     and "'", never across whitespace).  An ASCII block is tokenized by a bytes
-    translation and counted in numpy on a pool of threads, one per CPU the
-    process may run on up to _MAX_WORKERS; at most workers + 1 blocks are in
-    flight, and their counts are added in file order on the calling thread.
-    All str work stays on the calling thread: the tokens past _KEY_BYTES
-    bytes, and every block with a non-ASCII byte, which `data.tokenize_text`
-    splits.  The short ASCII tokens of those blocks become keys once, over
-    the distinct tokens, at the end.  Memory is bounded by the vocabulary plus
-    workers + 1 blocks plus the longest run without whitespace, whatever the
+    translation and its keys are computed in numpy on a pool of threads, one
+    per CPU the process may run on up to _MAX_WORKERS, with at most
+    workers + 1 blocks in flight.  The pool threads add their blocks' keys to
+    one _KeyCounts, where they also merge them.  A merging thread holds back
+    its block's result, which the calling thread waits for before it has
+    more than workers blocks past it in flight, so the keys added during one
+    merge are those of at most 2 * workers blocks.  All str work stays on the
+    calling thread: the tokens past _KEY_BYTES bytes, and every block with a
+    non-ASCII byte, which `data.tokenize_text` splits.  The short ASCII
+    tokens of those blocks become keys once, over the distinct tokens, at
+    the end.  Memory is bounded by a few times the vocabulary, plus a few
+    blocks per thread, plus the longest run without whitespace, whatever the
     file size.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -139,30 +178,32 @@ def text_counts(fh) -> tuple[_KeyCounts, Counter]:
     key_counts, other = _KeyCounts(), Counter()
     in_flight = deque()
 
-    def add(block):
-        (keys, counts), long_digits = block.result()
-        key_counts.add(keys, counts)
+    def count(raw):
+        keys, long_digits = _count_ascii(raw)
+        key_counts.add(keys)
+        return long_digits
+
+    def add_long(block):
+        long_digits = block.result()
         if long_digits is not None:
             other.update(long_digits.translate(_KEY_CHARS).decode("ascii").split())
 
     with ThreadPoolExecutor(workers) as pool:
         for offset, raw in data._blocks(fh, _WHITESPACE):
             if raw.isascii():
-                in_flight.append(pool.submit(_count_ascii, raw))
+                in_flight.append(pool.submit(count, raw))
                 if len(in_flight) > workers:
-                    add(in_flight.popleft())
+                    add_long(in_flight.popleft())
             else:
                 other.update(data.tokenize_text(data._decode(offset, raw)))
         while in_flight:
-            add(in_flight.popleft())
+            add_long(in_flight.popleft())
+    key_counts.merge()
     short = [token for token in other if len(token) <= _KEY_BYTES and token.isascii()]
     if short:
-        digits = np.frombuffer(" ".join(short).encode().translate(_KEY_DIGIT), np.uint8)
+        digits = _digits(" ".join(short).encode())
         edges = _token_edges(digits)
-        keys, order = _keys(digits, edges[::2], edges[1::2] - edges[::2])
-        counts = np.array([other.pop(token) for token in short], np.int64)[order]
+        keys = _keys(digits, edges[::2], edges[1::2] - edges[::2])
         by_key = keys.argsort()
-        key_counts.add(keys[by_key], counts[by_key])
-    key_counts.merge()
+        key_counts.update(keys[by_key], np.array([other.pop(token) for token in short], np.int64)[by_key])
     return key_counts, other
-

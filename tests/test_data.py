@@ -45,17 +45,25 @@ def whole_text_counts(text: str) -> Counter:
     return Counter(re.findall(r"(?:[^\W_]|')+", text.lower()))
 
 
+KEY_ALPHABET = b"abcdefghijklmnopqrstuvwxyz0123456789'"
+
+
 def reference_key(token: str):
-    """The uint64 key of an ASCII token of at most 12 bytes, its bijective
-    base-38 numeral, written out here so that the tests do not read
-    _text._keys; None for every other token."""
+    """The uint64 key of an ASCII token of at most 12 bytes, written out here
+    so that the tests do not read _text._keys; None for every other token.
+    Each byte is read as the digit KEY_ALPHABET.index(byte) + 1.  A token of
+    at most 8 bytes is the little-endian number of its digit bytes, and a
+    longer one its bijective base-38 numeral with bit 63 set."""
     raw = token.encode()
     if len(raw) > 12 or not raw.isascii():
         return None
+    digits = [KEY_ALPHABET.index(b) + 1 for b in raw]
+    if len(digits) <= 8:
+        return int.from_bytes(bytes(digits), "little")
     key = 0
-    for b in raw:
-        key = 38 * key + text_mod._KEY_ALPHABET.index(b) + 1
-    return key
+    for digit in digits:
+        key = 38 * key + digit
+    return key | 1 << 63
 
 
 def split_counts(counts) -> tuple[dict, Counter]:
@@ -99,6 +107,10 @@ def assert_raises_at(raw: bytes, block: int, offset: int):
         stream_fingerprint(raw, block)
 
 
+# words on each side of the 8/9 and 12/13-byte edges of the keys: all-'9',
+# all-"'" and mixed case
+EDGE_WORDS = [c * n for n in (8, 9, 12, 13) for c in "9'"] + ["AbC9'dEfGhIjK"[:n] for n in (8, 9, 12, 13)]
+
 # letters that fold and lowercase in context, separators, and non-BMP characters
 TEXT_ALPHABET = "aZé'Σς Α._-:`^\n\r\t\x0b\x0c𝔸İ9"
 
@@ -130,6 +142,9 @@ class TestHistogramFromText:
             "word Internationalization é\nword\ninternationalization word\n",
             # long tokens only
             "Internationalization incomprehensibilities\nextraordinarily 1234567890123\n",
+            # the same edge words in ASCII blocks, then in a non-ASCII block with
+            # no whitespace, whose short ASCII tokens become keys at the end
+            " ".join(EDGE_WORDS) + "\n" + "é," + ",".join(EDGE_WORDS) + "\n",
         ],
     )
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 16])
@@ -163,9 +178,9 @@ class TestHistogramFromText:
     @given(
         st.one_of(
             st.text(alphabet=TEXT_ALPHABET, max_size=80),
-            # tokens about as long as a uint64 key allows, among the same characters
+            # tokens around the 8/9 and 12/13-byte edges of the keys, among the same characters
             st.lists(
-                st.one_of(st.text(alphabet="aZ9'", min_size=11, max_size=14), st.text(alphabet=TEXT_ALPHABET, max_size=6)),
+                st.one_of(st.text(alphabet="aZ9'", min_size=7, max_size=14), st.text(alphabet=TEXT_ALPHABET, max_size=6)),
                 max_size=8,
             ).map(" ".join),
         ),
@@ -219,9 +234,11 @@ class TestHistogramFromText:
                     assert result == oracle(expected)
                 assert peaks[8] <= 1.5 * peaks[1], (read.__name__, end, peaks)
 
-    def test_many_workers_match_whole_text(self, monkeypatch):
-        # more threads than cores, switching threads often
-        monkeypatch.setattr(text_mod, "_MAX_WORKERS", 8)
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_many_workers_match_whole_text(self, monkeypatch, workers):
+        # one thread adding and merging alone, and threads adding while another
+        # merges: more threads than cores, switching threads often
+        monkeypatch.setattr(text_mod, "_MAX_WORKERS", workers)
         monkeypatch.setattr(text_mod.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(text_mod.os, "cpu_count", lambda: 8)
         text = ("plain words here " * 5 + "Internationalization naïve Σ\n" + "ascii only line\n" * 3) * 60
