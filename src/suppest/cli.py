@@ -3,8 +3,8 @@
 Every command is a pure function of its flags, input files and seed; repeated
 runs print byte-identical output.  This is the one module that formats
 output: floats print as %.17g (`fmt`) and every CSV goes through
-`_print_csv`.  Exit codes: 0 success, 1 input/validation failure, 2
-numerical failure.
+`_print_csv`.  Exit codes: 0 success (also when the reader of stdout closes
+it early), 1 input/validation failure, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, astuple, fields
 
@@ -272,7 +273,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return 1 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has stopped reading (`suppest ... | head -1`): what is
+        # still buffered goes to the null device, so that the flush at exit
+        # cannot fail again, and the command succeeds as far as it was read
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (CoverageZeroError, NonConvergenceError, RankDeficiencyError) as exc:
         print(f"suppest: numerical failure: {exc}", file=sys.stderr)
         return 2

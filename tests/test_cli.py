@@ -48,6 +48,22 @@ def test_print_csv_quotes_as_csv_module(capsys):
     assert capsys.readouterr().out == expected.getvalue()
 
 
+def test_closed_stdout_pipe_exits_0_quietly(capsys, monkeypatch):
+    # `suppest coeffs ... | head -1`: the reader has closed the pipe before
+    # the output is flushed; the rest goes to the null device, with no message
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    stdout = open(write_fd, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "wy"])
+        assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
+    finally:
+        stdout.close()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestEstimate:
     def test_counts_naive(self, capsys, tmp_path):
         path = tmp_path / "counts.tsv"

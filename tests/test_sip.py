@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -164,13 +166,101 @@ class TestSolve:
         _, r = _dual_solve(data, z / z.sum())
         b = np.linalg.solve(r[:degree, :degree], r[:degree, degree])
         _, res = data.values(b)
-        grad, r_fac = _newton_factor(data, b, res, z, slack, r)
+        grad, r_fac = _newton_factor(data, b, res, z / slack, z.sum(), r)
         # V, M and grad are stored one row per coefficient, (L, s)
         a = np.hstack([grad.T, -np.ones((1000, 1))])
         explicit = (a * (z / slack)[:, None]).T @ a
         explicit[:degree, :degree] += 2.0 * ((data.V * z) @ data.V.T + np.diag(data.M @ z))
         err = np.linalg.norm(r_fac.T @ r_fac - explicit) / np.linalg.norm(explicit)
         assert err <= 1e-10
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) thread-count functions of the loaded OpenBLAS; the count the
+    test found is set again after it."""
+    funcs = sip._openblas_threads()
+    if funcs is None:
+        pytest.skip("no OpenBLAS is loaded, so solve leaves the BLAS threads alone")
+    found = funcs[0]()
+    yield funcs
+    funcs[1](found)
+
+
+def _count_inside(monkeypatch, get):
+    """Record the BLAS thread count at every dual solve."""
+    seen = []
+    dual_solve = sip._dual_solve
+
+    def recording(*args):
+        seen.append(get())
+        return dual_solve(*args)
+
+    monkeypatch.setattr(sip, "_dual_solve", recording)
+    return seen
+
+
+class TestOneBlasThread:
+    def test_count_restored_after_return_and_raise(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        found = get()
+        seen = _count_inside(monkeypatch, get)
+        solve(_standard_problem(s=101))
+        assert get() == found
+        # past the underflow edge: the first dual solve raises
+        with pytest.raises(RankDeficiencyError):
+            rwc_coefficients(1000, 8e5, EstimatorSpec("rwc"))
+        assert get() == found
+        monkeypatch.setattr(sip, "MAX_ITER", 0)
+        with pytest.raises(NonConvergenceError):
+            solve(_standard_problem(s=101))
+        assert get() == found
+        assert seen and set(seen) == {1}
+
+    def test_result_independent_of_thread_count(self, blas_threads):
+        # rwc at k = n = 1e12: L = 15, whose QRs OpenBLAS would split over threads
+        get, set_ = blas_threads
+        degree = degree_for(1e12)
+        problem = SipProblem(degree, build_grid(*localized_interval(1e12, 1e12, degree), 1000), 1e-12)
+        results = []
+        for threads in (3, 1):
+            set_(threads)
+            results.append(solve(problem))
+            assert get() == threads
+        many, one = results
+        assert many.coeffs == one.coeffs
+        assert (many.t_d, many.duality_gap, many.iterations) == (one.t_d, one.duality_gap, one.iterations)
+        assert many.dual_weights.tobytes() == one.dual_weights.tobytes()
+
+    def test_concurrent_solves_restore_count(self, blas_threads, monkeypatch):
+        # overlapping solves share one scope: the count is 1 while any of them
+        # runs and the one found after the last has left
+        get, set_ = blas_threads
+        set_(3)
+        seen = _count_inside(monkeypatch, get)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(4):
+                    solve(_standard_problem(s=101))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert get() == 3
+        assert len(seen) >= 32 and set(seen) == {1}
 
 
 def _oversampled_max(res, oversample=10):
