@@ -176,6 +176,15 @@ class DistributionSpec:
         return self.kind
 
 
+# Largest support of a synthetic distribution, 2**29 symbols: its probability
+# vector alone takes 4 GiB.  Checked before anything support-sized is allocated.
+MAX_SUPPORT = 2**29
+
+
+def _too_large(target_min_mass: float) -> str:
+    return f"min mass {target_min_mass:.6g} needs more than {MAX_SUPPORT} symbols, the largest support allowed"
+
+
 def make_distribution(kind: str, target_min_mass: float, alpha: float | None = None) -> DistributionSpec:
     """Build the distribution whose smallest mass is the largest value not
     exceeding the target (uniform rounds 1/target to the nearest integer)."""
@@ -183,6 +192,8 @@ def make_distribution(kind: str, target_min_mass: float, alpha: float | None = N
         raise ValueError("target_min_mass must lie in (0, 1)")
     if kind == "uniform":
         support = max(int(round(1.0 / target_min_mass)), 1)
+        if support > MAX_SUPPORT:
+            raise ValueError(_too_large(target_min_mass))
         probs = np.full(support, 1.0 / support)
         return DistributionSpec(kind, support, probs)
     if kind == "zipf":
@@ -194,15 +205,14 @@ def make_distribution(kind: str, target_min_mass: float, alpha: float | None = N
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
     # support s takes the first s weights, and their smallest share w_s / (w_1 + ... + w_s)
-    # falls as s grows; scan sizes 2, 4, ..., 2**29 (supports up to 10**9) for the first s
-    # where it is <= the target
-    for e in range(1, 30):
+    # falls as s grows; scan sizes 2, 4, ..., MAX_SUPPORT for the first s where it is <= the target
+    for e in range(1, MAX_SUPPORT.bit_length()):
         w = weights(2**e)
         below = w <= target_min_mass * np.cumsum(w)
         if below.any():
             break
     else:
-        raise ValueError("infeasible target_min_mass")
+        raise ValueError(_too_large(target_min_mass))
     w = w[: int(np.argmax(below)) + 1]
     probs = w / w.sum()
     if probs[-1] < np.finfo(float).tiny:
@@ -217,9 +227,10 @@ def child_seed(master: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
 
 
-def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
-    """Per-symbol counts of n i.i.d. draws, by inverse CDF over the cumulative
-    weights cum; deterministic given (seed, n, dist).
+def _sample_indices(dist: DistributionSpec, n: int, seeds):
+    """The symbol index of each of n i.i.d. draws, one array per seed, by
+    inverse CDF over the cumulative weights cum; deterministic given
+    (seed, n, dist).
 
     A draw u goes to symbol #{i : cum[i] <= u}: symbol i gets the u with
     cum[i-1] <= u < cum[i], and a tie u == cum[i] goes to symbol i + 1.  The
@@ -227,32 +238,54 @@ def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
     min(n, support), so u * cells and j / cells are exact and u lies in cell
     trunc(u * cells).  A table of the number of cum values below each cell
     gives every draw a lower bound of its symbol; one whole-array step up cum
-    settles most of the rest, and a binary search the draws still short.
-    Besides the O(support) of cum, the call makes fewer than 3n + 1 binary
-    searches (fewer than 2n + 1 for the table, at most n for short draws) and
-    holds about three n-sized arrays at once.
+    settles most of the rest, and a binary search the draws still short.  The
+    table only bounds each index from below, so the draws do not depend on
+    the cell count.  cum and the table are built once for all the seeds (an
+    O(support) cumsum and fewer than 2n + 1 binary searches, at the first
+    seed) and die with the generator; each seed then makes at most n binary
+    searches and holds about three n-sized arrays at once.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
-    try:
-        u = rng.random(n)
-        cells = 1 << (max(min(n, dist.support), 1) - 1).bit_length()
-        idx = np.searchsorted(cum, np.arange(cells) / cells)[(u * cells).astype(np.intp)]
-        idx += cum[idx] <= u
-        short = np.flatnonzero(cum[idx] <= u)
-        idx[short] = np.searchsorted(cum, u[short], side="right")
-    except (ValueError, MemoryError) as exc:  # numpy's "Maximum allowed dimension exceeded", or no memory
-        raise ValueError(f"sample size n = {n:.6g} is too large to draw") from exc
+    cells = 1 << (max(min(n, dist.support), 1) - 1).bit_length()
+    table = None
+    for seed in seeds:
+        rng = np.random.Generator(np.random.Philox(seed))
+        try:
+            u = rng.random(n)
+            if table is None:
+                table = np.searchsorted(cum, np.arange(cells) / cells)
+            idx = table[(u * cells).astype(np.intp)]
+            idx += cum[idx] <= u
+            short = np.flatnonzero(cum[idx] <= u)
+            idx[short] = np.searchsorted(cum, u[short], side="right")
+        except (ValueError, MemoryError) as exc:  # numpy's "Maximum allowed dimension exceeded", or no memory
+            raise ValueError(f"sample size n = {n:.6g} is too large to draw") from exc
+        del u, short  # only idx stays alive while the caller uses it
+        yield idx
+
+
+def sample_counts(dist: DistributionSpec, n: int, seed) -> np.ndarray:
+    """Per-symbol counts of n i.i.d. draws (see `_sample_indices`)."""
+    (idx,) = _sample_indices(dist, n, [seed])
     return np.bincount(idx, minlength=dist.support)
 
 
+def sample_fingerprints(dist: DistributionSpec, n: int, seeds) -> list[Fingerprint]:
+    """Fingerprints of one n-draw sample per seed, without materializing the
+    symbol histograms.  The sampling table is paid once for all the seeds."""
+    fps = []
+    for idx in _sample_indices(dist, n, seeds):
+        freq = np.bincount(np.bincount(idx))  # freq[j]: symbols drawn j times, j = 0 included
+        fps.append(Fingerprint({int(j): int(freq[j]) for j in np.flatnonzero(freq[1:]) + 1}))
+    return fps
+
+
 def sample_fingerprint(dist: DistributionSpec, n: int, seed) -> Fingerprint:
-    """Fingerprint of a sample without materializing the symbol histogram."""
-    counts = sample_counts(dist, n, seed)
-    return _fingerprint_of(counts[counts > 0])
+    """Fingerprint of one sample (see `sample_fingerprints`)."""
+    return sample_fingerprints(dist, n, [seed])[0]
 
 
 def bundled_corpus_path():

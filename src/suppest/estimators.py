@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data import Fingerprint
 from .poly import Polynomial, g_values, shifted_cheb_coeffs
 from .sip import TOL, SipProblem, SolveResult, build_grid, localized_interval, solve
@@ -79,12 +77,12 @@ def wy_coefficients(k: float, n: float, spec: EstimatorSpec) -> tuple[Polynomial
 
 
 def _solve_weighted(
-    k: float, n: float, count: float, spec: EstimatorSpec, init_weights: np.ndarray | None = None
+    k: float, n: float, count: float, spec: EstimatorSpec, warm: SolveResult | None = None
 ) -> SolveResult:
     """Solve with variance weight 1 / count, after degree_for has rejected k < 2."""
     degree = degree_for(k, spec.c0)
     problem = SipProblem(degree, build_grid(*localized_interval(n, k, degree), spec.s), 1.0 / count)
-    return solve(problem, tol=spec.tol, init_weights=init_weights)
+    return solve(problem, tol=spec.tol, warm=warm)
 
 
 def rwc_coefficients(k: float, n: float, spec: EstimatorSpec) -> SolveResult:
@@ -93,17 +91,17 @@ def rwc_coefficients(k: float, n: float, spec: EstimatorSpec) -> SolveResult:
 
 
 def rwcs_coefficients(
-    k: float, n: float, s_count: float, spec: EstimatorSpec, init_weights: np.ndarray | None = None
+    k: float, n: float, s_count: float, spec: EstimatorSpec, warm: SolveResult | None = None
 ) -> SolveResult:
     """RWC variant with variance weight 1 over the naive counting estimate.
 
-    `init_weights` warm-starts the solver from the dual weights of an earlier
-    solve on the same (k, n, spec) grid, such as a neighbouring count; the
-    result is certified to the same tolerance either way.
+    `warm` warm-starts the solver from an earlier solve on a grid of the same
+    size, such as a neighbouring count's on the same (k, n, spec) grid (see
+    `sip.solve`); the result is certified to the same tolerance either way.
     """
     if s_count < 1:
         raise ValueError(f"counting estimate must be >= 1, got {s_count}")
-    return _solve_weighted(k, n, s_count, spec, init_weights)
+    return _solve_weighted(k, n, s_count, spec, warm)
 
 
 def apply_poly_estimator(fp: Fingerprint, p: Polynomial) -> float:
@@ -135,9 +133,9 @@ def good_turing(fp: Fingerprint) -> float:
 def estimate(spec: EstimatorSpec, fp: Fingerprint, k: float) -> EstimateResult:
     """Dispatch to the requested estimator and apply it to the fingerprint;
     the sample size n is fp.n."""
-    n = fp.n
     if spec.kind == "naive":
         return EstimateResult(naive_count(fp))
+    n = fp.n
     try:
         if spec.kind == "gt":
             return EstimateResult(good_turing(fp))

@@ -87,6 +87,15 @@ def _log_factorials(degree: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, degree + 1)))))
 
 
+def _horner(coeffs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_l coeffs[l] lams^l by Horner's rule, in place from the top coefficient."""
+    total = np.full_like(lams, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        total *= lams
+        total += c
+    return total
+
+
 def objective_values(
     p: Polynomial, lams: np.ndarray, reg_weight: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,13 +106,11 @@ def objective_values(
     if not reg_weight >= 0.0:
         raise ValueError(f"reg_weight must be >= 0, got {reg_weight}")
     coeffs = np.asarray(p.coeffs)
-    degree = len(coeffs) - 1
+    factorials = np.arange(float(len(coeffs)))
+    factorials[0] = 1.0
     # sum_l a_l^2 l! lam^l by Horner's rule: its terms are nonnegative, so the
     # sum has no cancellation and a relative error of about (L+1) eps
-    weights = coeffs * coeffs * np.cumprod(np.r_[1.0, np.arange(1.0, degree + 1)])
-    total = np.zeros_like(lams)
-    for c in weights[::-1]:
-        total = total * lams + c
+    total = _horner(coeffs * coeffs * np.cumprod(factorials, out=factorials), lams)
     # past lam = 708 exp(-lam) is subnormal, and past 745 it is 0 while the sum
     # is not; there the product is formed in the log domain (log 0 is -inf)
     decay = np.exp(-lams)
@@ -113,10 +120,7 @@ def objective_values(
         with np.errstate(divide="ignore"):
             var[far] = np.exp(np.log(total[far]) - lams[far])
     var *= reg_weight
-    poly = np.zeros_like(lams)
-    for c in coeffs[::-1]:
-        poly = poly * lams + c
-    bias = decay * poly
+    bias = decay * _horner(coeffs, lams)
     return var, bias, var + bias * bias
 
 

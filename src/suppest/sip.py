@@ -37,14 +37,12 @@ no command builds.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .poly import Polynomial, _log_factorials, objective_values
 
 # Beyond lambda = 6.5 * L the objective decreases in lambda for every
@@ -57,73 +55,6 @@ MAX_ITER = 100
 
 # Certified duality-gap tolerance of a solve.
 TOL = 1e-8
-
-
-# (get, set) thread-count functions of numpy's bundled OpenBLAS and of a
-# system OpenBLAS.
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None where
-    none is loaded (Accelerate, MKL) or the loaded libraries cannot be listed."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-class _OneBlasThread:
-    """Context manager that runs its body on one OpenBLAS thread.
-
-    The thread count is process-wide, so overlapping bodies in several
-    threads share one scope: the first to enter records the count it finds
-    and sets 1, the last to leave restores it.  Without OpenBLAS it does
-    nothing.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._found = 0
-
-    def __enter__(self):
-        funcs = _openblas_threads()
-        if funcs is not None:
-            get, set_ = funcs
-            with self._lock:
-                if self._depth == 0:
-                    self._found = get()
-                    set_(1)
-                self._depth += 1
-
-    def __exit__(self, *exc):
-        funcs = _openblas_threads()
-        if funcs is not None:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    funcs[1](self._found)
-
-
-_one_blas_thread = _OneBlasThread()
 
 
 class RankDeficiencyError(RuntimeError):
@@ -167,12 +98,17 @@ class SipProblem:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """A solve's coefficients and certificate.  `grid_tables` are the
+    weight-free tables of the problem's degree and grid, which a solve warm
+    started from this result reuses when its degree and grid are the same."""
+
     problem: SipProblem
     coeffs: Polynomial
     t_d: float
     duality_gap: float
     iterations: int
     dual_weights: np.ndarray
+    grid_tables: _GridTables = field(repr=False)
 
 
 def localized_interval(n: float, k: float, degree: int) -> tuple[float, float]:
@@ -199,40 +135,82 @@ def build_grid(lo: float, hi: float, s: int) -> np.ndarray:
     return np.linspace(lo, hi, s)
 
 
+class _GridTables:
+    """Weight-free per-grid-point tables of a degree and grid.
+
+    The variables are rescaled, b_l -> b_l mu^l with mu half the right
+    endpoint, which keeps the Vandermonde-like rows well conditioned.  Row l
+    of `v` is exp(-lam) (lam/mu)^l, of the bias, and row l of `m` is
+    exp(-lam) lam^l l! / mu^(2l), the variance term at weight 1.  A variance
+    weight only scales `m`, so the solves of an RWC-S warm chain, which share
+    the degree and the grid, share one set of tables.  The index arrays that
+    depend on the degree and grid size alone are kept here too.  `m` is None
+    until the tables are reused (see `variance`); nothing else is written
+    after construction, and two solves that race to set `m` set equal
+    arrays, so concurrent solves may share the tables.
+    """
+
+    def __init__(self, degree: int, points: np.ndarray):
+        self.degree, self.points = degree, points
+        self.mu = max(points[-1] / 2.0, points[0])
+        self.v = np.exp(np.outer(np.arange(degree + 1), np.log(points) - math.log(self.mu)) - points)
+        self.m = None
+        s = len(points)
+        self.diag = (np.arange(degree), np.arange(s, s + degree))  # sqrt(M w) in the QR input of _dual_solve
+        self.upper = np.triu(np.ones((degree + 1, degree + 1), dtype=bool))  # the mask of _triangle
+
+    def variance(self, reg_weight: float, keep: bool) -> np.ndarray:
+        """The variance rows at weight reg_weight: reg_weight * m, with the
+        same bits whether m is kept or built afresh.
+
+        Until a call with `keep` (a solve on lent tables) stores `m`, each
+        call builds it and scales it in place: a solve whose tables are never
+        lent then holds one grid-sized array fewer, which at L = 19 is
+        160 kB of peak memory.
+        """
+        m = self.m
+        if m is None:
+            log_lam = np.log(self.points)
+            m = np.exp(
+                np.outer(np.arange(self.degree + 1), log_lam - 2.0 * math.log(self.mu))
+                + _log_factorials(self.degree)[:, None]
+                - self.points
+            )
+            if not keep:
+                m *= reg_weight
+                return m
+            self.m = m
+        return reg_weight * m
+
+    def fits(self, problem: SipProblem) -> bool:
+        """Whether these are the tables of the problem's degree and grid."""
+        return self.degree == problem.degree and np.array_equal(self.points, problem.points)
+
+
 class _QuadData:
     """Per-grid-point data of the constraint functions of b = a_1..a_L.
 
     h_i(b) = (b . V_i - v0_i)^2 + b^2 . M_i + m0_i: the squared bias plus the
-    variance term at rate lam_i.  The variables are rescaled, b_l -> b_l mu^l
-    with mu half the right endpoint, which keeps the Vandermonde-like rows of V
-    well conditioned.  V and M are stored (L, s), one contiguous row per
-    coefficient, so every product with them runs along the grid.  It also
-    holds the transposed QR inputs of `_dual_solve` and `_newton_factor`,
-    whose zero blocks stay zero while each iteration fills the rest.
+    variance term at rate lam_i, in the scaled variables of `_GridTables`:
+    V and v0 are the rows of its v, and M and m0 those of its m times the
+    variance weight (tables built afresh when none are lent).  V and M are
+    stored (L, s), one contiguous row per coefficient, so every product with
+    them runs along the grid.  It also holds the transposed QR inputs of
+    `_dual_solve` and `_newton_factor`, allocated per solve: their zero
+    blocks stay zero while each iteration fills the rest.
     """
 
-    def __init__(self, problem: SipProblem):
-        lams = problem.points
+    def __init__(self, problem: SipProblem, tables: _GridTables | None = None):
         degree = problem.degree
         self.degree = degree
-        self.lo, self.hi = lams[0], lams[-1]
-        self.mu = max(self.hi / 2.0, self.lo)
-        ells = np.arange(degree + 1)
-        log_lam = np.log(lams)
-        log_mu = math.log(self.mu)
-        # scaled exp(-lam) * (lam/mu)^l
-        v = np.exp(np.outer(ells, log_lam - log_mu) - lams)
-        # scaled variance diagonal: reg * exp(-lam) * lam^l l! / mu^(2l)
-        m = problem.reg_weight * np.exp(
-            np.outer(ells, log_lam - 2.0 * log_mu) + _log_factorials(degree)[:, None] - lams
-        )
-        self.v0, self.V = v[0], v[1:]
+        self.tables = _GridTables(degree, problem.points) if tables is None else tables
+        self.lo, self.hi = problem.points[0], problem.points[-1]
+        self.v0, self.V = self.tables.v[0], self.tables.v[1:]
+        m = self.tables.variance(problem.reg_weight, keep=tables is not None)
         self.m0, self.M = m[0], m[1:]
-        s = len(lams)
+        s = len(problem.points)
         self.aug_t = np.zeros((degree + 1, s + degree))
         self.rows_t = np.zeros((degree + 1, s + degree))
-        self.diag = (np.arange(degree), np.arange(s, s + degree))  # sqrt(M w) in aug_t
-        self.upper = np.triu(np.ones((degree + 1, degree + 1), dtype=bool))
 
     def values(self, b: np.ndarray):
         """Constraint values h and bias residuals b . V - v0 at b."""
@@ -240,7 +218,7 @@ class _QuadData:
         return res * res + (b * b) @ self.M + self.m0, res
 
     def unscale(self, b: np.ndarray) -> Polynomial:
-        return Polynomial((-1.0, *(b / self.mu ** np.arange(1, self.degree + 1))))
+        return Polynomial((-1.0, *(b / self.tables.mu ** np.arange(1, self.degree + 1))))
 
 
 def _dual_solve(data: _QuadData, w: np.ndarray):
@@ -265,7 +243,7 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
     aug_t = data.aug_t
     np.multiply(data.V, sw, out=aug_t[:degree, :s])
     np.multiply(data.v0, sw, out=aug_t[degree, :s])
-    aug_t[data.diag] = np.sqrt(data.M @ w)
+    aug_t[data.tables.diag] = np.sqrt(data.M @ w)
     r = _triangle(data, aug_t)
     r_a = r[:degree, :degree]
     norms = np.linalg.norm(r_a, axis=0)
@@ -286,10 +264,10 @@ def _triangle(data: _QuadData, filled_t: np.ndarray) -> np.ndarray:
     """The (L+1) x (L+1) R of a QR of filled_t.T.  LAPACK's raw output holds R
     in its upper triangle and the Householder vectors below it.  mode="r"
     zeroes them through np.triu, which builds its mask anew at every call;
-    here the mask is built once per solve.  R is copied out, so the raw
+    here the mask is built once per grid tables.  R is copied out, so the raw
     (L+1) x (s+L) output is freed at once."""
     raw = np.linalg.qr(filled_t.T, mode="raw")[0]  # the transpose of LAPACK's array
-    return np.where(data.upper, raw[:, : data.degree + 1].T, 0.0)
+    return np.where(data.tables.upper, raw[:, : data.degree + 1].T, 0.0)
 
 
 def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
@@ -338,43 +316,52 @@ def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveR
     coeffs = data.unscale(b)
     # report the primal value through the same evaluation path callers use
     t_d = float(objective_values(coeffs, problem.points, problem.reg_weight)[2].max())
-    return SolveResult(problem, coeffs, t_d, max(t_d - q, 0.0), iterations, w)
+    return SolveResult(problem, coeffs, t_d, max(t_d - q, 0.0), iterations, w, data.tables)
 
 
-def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None = None) -> SolveResult:
+def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None) -> SolveResult:
     """Minimize the grid maximum of g with a certified duality gap <= tol.
 
     Mehrotra predictor-corrector on min t s.t. h_i(b) + slack_i = t, slack,
     z >= 0, for at most MAX_ITER iterations.  Every iterate's duals, scaled
     to the simplex, give an exact lower bound q(w), so the result's
-    duality_gap = t_d - q(w) is a true certificate.  `init_weights` seeds the
-    duals (uniform when omitted); the optimum is unique, so different
-    initializations agree to solver accuracy.
+    duality_gap = t_d - q(w) is a true certificate.  The duals start uniform,
+    or from the dual weights of `warm`, an earlier result on a grid of the
+    same size; the optimum is unique, so different starts agree to solver
+    accuracy.  When `warm` also has this problem's degree and grid, as along
+    an RWC-S chain where only the variance weight changes, its grid tables
+    are reused, with the same bits as built afresh.
 
     Supported domain (default grid s = 1000, tol = 1e-8, c0 = 0.558): every
     k in {1e2, 1e4, 1e6, 1e9, 1e12} with n/k in {1e-6, 1e-3, 0.1, 1, 10}, and
     k = 1e15 with n/k in {1, 10}, certifies for the rwc and rwc-s weights.
-    From k = 1e15 an rwc cell with n/k <= 1e-3 can end in NonConvergenceError,
-    because the grid maximum of the monomial coefficients is only resolved to
-    about tol there; from k = 1e17 (L >= 21) the equilibrated aggregate matrix
-    is numerically singular and the call raises RankDeficiencyError.  So does
-    every k once n/k passes about 650 (k = 1e15) to 730 (k = 1e2): the grid is
-    the point n/k, where exp(-n/k) is so small that a column of the aggregate
-    matrix underflows to 0.
+    From k = 1e15 an rwc cell with n/k <= 1e-3 can end in NonConvergenceError:
+    the iteration evaluates h through `_QuadData.values` on the scaled
+    monomial rows, whose rounding, amplified by the basis, makes its own h
+    noisier than tol there, so the iterates cannot certify the gap.  From
+    k = 1e17 (L >= 21) the equilibrated aggregate matrix is numerically
+    singular and the call raises RankDeficiencyError.  So does every k once
+    n/k passes about 650 (k = 1e15) to 730 (k = 1e2): the grid is the point
+    n/k, where exp(-n/k) is so small that a column of the aggregate matrix
+    underflows to 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    data = _QuadData(problem)
     s = len(problem.points)
 
-    if init_weights is None:
+    if warm is None:
+        tables = None
         w = np.full(s, 1.0 / s)
     else:
-        w = np.asarray(init_weights, dtype=float)
+        tables = warm.grid_tables
+        w = np.asarray(warm.dual_weights, dtype=float)
         if w.shape != (s,) or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("init_weights must be a nonnegative vector over the grid")
+            raise ValueError("the warm start's dual weights must be a nonnegative vector over the grid")
         # the interior-point duals must start strictly positive
         w = 0.999 * (w / w.sum()) + 0.001 / s
+    if tables is not None and not tables.fits(problem):
+        tables = None
+    data = _QuadData(problem, tables)
 
     if problem.degree == 0:
         # no free variables: the maximum sits at a single grid point
@@ -382,9 +369,9 @@ def solve(problem: SipProblem, tol: float = TOL, init_weights: np.ndarray | None
         i = int(np.argmax(h))
         dual = np.zeros(s)
         dual[i] = 1.0
-        return SolveResult(problem, Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual)
+        return SolveResult(problem, Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual, data.tables)
 
-    with _one_blas_thread:
+    with one_blas_thread:
         return _interior_point(data, problem, tol, w)
 
 

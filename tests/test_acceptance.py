@@ -5,6 +5,7 @@ Each test prints a single `ACCEPTANCE n: PASS` line on success (visible with
 message carries the offending instance.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -108,7 +109,7 @@ def test_criterion_3_solver_certificate():
     assert r0.duality_gap <= 1e-8
     # uniqueness: tighter solves from two initializations agree per coordinate
     r1 = solve(problem, tol=1e-9)
-    r2 = solve(problem, tol=1e-9, init_weights=np.exp(-0.05 * np.arange(1000.0)))
+    r2 = solve(problem, tol=1e-9, warm=dataclasses.replace(r0, dual_weights=np.exp(-0.05 * np.arange(1000.0))))
     assert max(r1.duality_gap, r2.duality_gap) <= 1e-9
     for c1, c2 in zip(r1.coeffs.coeffs, r2.coeffs.coeffs):
         assert abs(c1 - c2) < 1e-5, f"initialization changed coefficients: {c1} vs {c2}"

@@ -361,6 +361,20 @@ class TestSimulate:
         assert code == 0
         assert a == b
 
+    def test_in_process_calls_match_a_fresh_process(self, capsys):
+        # per-cell sampling tables, warm-chain grid tables and WY polynomials
+        # leave nothing behind that changes the next call's bytes
+        argv = ["simulate", "--min-mass", "1e-3", "--n-frac", "0.001,1", "--trials", "3", "--seed", "4"]
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        code, second, _ = run(capsys, *argv)
+        assert code == 0
+        src = str(Path(data_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = f"import sys; from suppest.cli import main; sys.exit(main({argv!r}))"
+        fresh = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert first == second == fresh.stdout
+
     def test_runtime_kept_out_of_csv(self, capsys):
         # no wall-clock field in either format: both are pure functions of the inputs
         argv = ("simulate", "--dist", "uniform", "--min-mass", "1e-2", "--n-frac", "0.1", "--trials", "1",
@@ -579,6 +593,11 @@ class TestParsing:
             (("coeffs", "--k", "1e4", "--n", "1e4", "--c0", "0"), "c0 and c1 must be positive"),
             # n = 1e306 k is past the float range
             ((*SIMULATE, "uniform", "--n-frac", "1e306"), "sample size n = inf is too large to draw"),
+            # a support of 1e15 symbols, a 7 PiB probability vector: refused before it is allocated
+            (
+                (*SIMULATE, "uniform", "--min-mass", "1e-15"),
+                "min mass 1e-15 needs more than 536870912 symbols, the largest support allowed",
+            ),
         ],
     )
     def test_input_error_is_one_line(self, capsys, argv, message):

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from suppest import _text as text_mod
 from suppest import data as data_mod
 from suppest.data import (
+    MAX_SUPPORT,
     DistributionSpec,
     Fingerprint,
     IngestionError,
@@ -24,6 +25,7 @@ from suppest.data import (
     make_distribution,
     sample_counts,
     sample_fingerprint,
+    sample_fingerprints,
     text_fingerprint,
     tokenize_text,
 )
@@ -397,6 +399,12 @@ class TestMakeDistribution:
             with pytest.raises(ValueError, match=f"zipf exponent {alpha:g} is too large"):
                 make_distribution("zipf", 1e-3, alpha=alpha)
 
+    def test_support_limit_checked_before_allocation(self):
+        # 1e15 symbols would be a 7 PiB probability vector, which numpy refuses at once
+        assert MAX_SUPPORT == 2**29
+        with pytest.raises(ValueError, match="min mass 1e-15 needs more than 536870912 symbols"):
+            make_distribution("uniform", 1e-15)
+
 
 def search_counts(d, n, seed):
     """The oracle: bin each draw u by searchsorted(cum, u, side="right")."""
@@ -484,6 +492,21 @@ class TestSampling:
         expected = d.probs * 1_000_000
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(1 - 1e-6, d.support - 1)
+
+    @pytest.mark.parametrize(
+        "kind, alpha", [("uniform", None), ("zipf", 1.5), ("zipf", 1.0), ("zipf", 0.5), ("zipf", 0.25), ("benford", None)]
+    )
+    def test_one_table_for_many_seeds(self, kind, alpha):
+        # the table built at the first seed draws every later seed's sample as a sample of its own
+        d = make_distribution(kind, 1e-3, alpha=alpha)
+        for n in (int(d.k) // 1000, int(d.k), 10 * int(d.k)):
+            seeds = [child_seed(13, n, t) for t in range(3)]
+            oracle = [fingerprint({i: int(c) for i, c in enumerate(search_counts(d, n, s)) if c}) for s in seeds]
+            assert sample_fingerprints(d, n, seeds) == oracle
+            assert [sample_fingerprint(d, n, s) for s in seeds] == oracle
+
+    def test_no_seeds(self):
+        assert sample_fingerprints(make_distribution("uniform", 0.2), 10, []) == []
 
     def test_fingerprint_shortcut_matches(self):
         d = make_distribution("zipf", 1e-3, alpha=1.0)

@@ -13,6 +13,7 @@ from suppest.estimators import (
     naive_count,
     rwc_coefficients,
     rwcs_coefficients,
+    wy_coefficients,
 )
 from suppest.harness import evaluate_risk, grid_convergence_study
 from suppest.cli import main
@@ -57,9 +58,9 @@ class TestEvaluateRisk:
         fps = [sample_fingerprint(dist, n, child_seed(5, 0, 0, t)) for t in range(8)]
         calls = []
 
-        def recording(k_, n_, s_count, spec_, init_weights=None):
-            result = rwcs_coefficients(k_, n_, s_count, spec_, init_weights=init_weights)
-            calls.append((s_count, init_weights is not None, result.coeffs))
+        def recording(k_, n_, s_count, spec_, warm=None):
+            result = rwcs_coefficients(k_, n_, s_count, spec_, warm=warm)
+            calls.append((s_count, warm is not None, result.coeffs))
             return result
 
         monkeypatch.setattr(harness.est_mod, "rwcs_coefficients", recording)
@@ -80,6 +81,41 @@ class TestEvaluateRisk:
             warm_max = float(objective_values(p, grid, 1.0 / s_c)[2].max())
             # both solves certify a gap <= tol on the same program
             assert abs(warm_max - cold.t_d) <= spec.tol
+
+    def test_cell_fingerprints_are_the_per_trial_samples(self, monkeypatch):
+        # one sampling table per (distribution, n) cell draws what sample_fingerprint draws per trial
+        suite = [("uniform", None), ("zipf", 1.5), ("zipf", 1.0), ("zipf", 0.5), ("zipf", 0.25), ("benford", None)]
+        dists = [make_distribution(kind, 1e-3, alpha=alpha) for kind, alpha in suite]
+        fracs = [1e-3, 1.0, 10.0]
+        seen = []
+
+        def recording(spec, dist, n, fps, cache):
+            seen.append((dist, n, fps))
+            return [0.0] * len(fps)
+
+        monkeypatch.setattr(harness, "_cell_estimates", recording)
+        evaluate_risk([EstimatorSpec("naive")], dists, fracs, trials=3, seed=8)
+        assert len(seen) == len(dists) * len(fracs)
+        cells = [(di, ni) for di in range(len(dists)) for ni in range(len(fracs))]
+        for (di, ni), (dist, n, fps) in zip(cells, seen):
+            assert dist is dists[di] and n == round(fracs[ni] * dist.k)
+            assert fps == [sample_fingerprint(dist, n, child_seed(8, di, ni, t)) for t in range(3)]
+
+    def test_wy_solved_once_per_cell(self, monkeypatch):
+        calls = []
+
+        def counted(k, n, spec):
+            calls.append((k, n))
+            return wy_coefficients(k, n, spec)
+
+        monkeypatch.setattr(harness.est_mod, "wy_coefficients", counted)
+        dist = make_distribution("uniform", 1e-3)
+        report = evaluate_risk([EstimatorSpec("wy")], [dist], [0.5, 1.0], trials=5, seed=2)
+        assert calls == [(dist.k, 500), (dist.k, 1000)]
+        for row in report.rows:
+            fps = [sample_fingerprint(dist, row.n, child_seed(2, 0, [500, 1000].index(row.n), t)) for t in range(5)]
+            values = [estimate(EstimatorSpec("wy"), fp, dist.k).value for fp in fps]
+            assert row.mean == float(np.mean(values))
 
     def test_fraction_mode(self):
         dist = make_distribution("uniform", 1e-2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -6,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from suppest import sip
+from suppest import _blas, sip
 from suppest.estimators import EstimatorSpec, degree_for, rwc_coefficients, rwcs_coefficients
 from suppest.poly import objective_values
 from suppest.sip import (
+    TOL,
     NonConvergenceError,
     RankDeficiencyError,
     SipProblem,
@@ -114,7 +116,7 @@ class TestSolve:
         problem = _standard_problem()
         r1 = solve(problem, tol=1e-9)
         w0 = np.exp(-0.1 * np.arange(1000.0))
-        r2 = solve(problem, tol=1e-9, init_weights=w0)
+        r2 = solve(problem, tol=1e-9, warm=dataclasses.replace(r1, dual_weights=w0))
         for c1, c2 in zip(r1.coeffs.coeffs, r2.coeffs.coeffs):
             assert abs(c1 - c2) < 1e-5
 
@@ -141,8 +143,49 @@ class TestSolve:
             solve(_standard_problem(), tol=0.0)
 
     def test_bad_init_weights(self):
+        # duals over another grid size, or negative ones, are no start
         with pytest.raises(ValueError):
-            solve(_standard_problem(), init_weights=np.ones(3))
+            solve(_standard_problem(), warm=solve(_standard_problem(s=3)))
+        warm = solve(_standard_problem(s=11))
+        with pytest.raises(ValueError):
+            solve(_standard_problem(s=11), warm=dataclasses.replace(warm, dual_weights=-warm.dual_weights))
+
+    @staticmethod
+    def _same_solve(a, b):
+        return (
+            a.coeffs == b.coeffs and (a.t_d, a.duality_gap, a.iterations) == (b.t_d, b.duality_gap, b.iterations)
+            and np.array_equal(a.dual_weights, b.dual_weights)
+        )
+
+    def test_warm_lends_its_grid_tables(self):
+        # along an RWC-S chain only the variance weight changes: the tables are
+        # lent from solve to solve, with the bits of tables built afresh
+        result = solve(_standard_problem(reg=1e-6))
+        tables = result.grid_tables
+        for reg, points in ((2e-6, result.problem.points), (3e-6, result.problem.points.copy())):
+            problem = SipProblem(7, points, reg)
+            assert np.array_equal(_QuadData(problem, tables).M, _QuadData(problem).M)
+            fresh = solve(problem, warm=dataclasses.replace(solve(problem), dual_weights=result.dual_weights))
+            result = solve(problem, warm=result)
+            assert result.grid_tables is tables and tables.m is not None
+            assert fresh.grid_tables is not tables
+            assert self._same_solve(result, fresh)
+            assert result.duality_gap <= TOL
+
+    def test_warm_on_another_degree_or_grid_lends_no_tables(self):
+        first = solve(_standard_problem(s=200))
+        points = first.problem.points
+        for problem in (
+            SipProblem(6, points, 1e-6),  # the same grid, another degree
+            SipProblem(7, build_grid(1.5, 6.5 * 7, 200), 1e-6),  # another grid of the same size
+        ):
+            warm = solve(problem, warm=first)
+            assert warm.grid_tables is not first.grid_tables
+            assert warm.grid_tables.fits(problem)
+            fresh = solve(problem, warm=dataclasses.replace(solve(problem), dual_weights=first.dual_weights))
+            assert self._same_solve(warm, fresh)
+        with pytest.raises(ValueError):  # a grid of another size
+            solve(_standard_problem(s=201), warm=first)
 
     def test_result_carries_problem(self, monkeypatch):
         degree_zero = SipProblem(0, build_grid(2.0, 10.0, 5), 0.3)
@@ -179,7 +222,7 @@ class TestSolve:
 def blas_threads():
     """(get, set) thread-count functions of the loaded OpenBLAS; the count the
     test found is set again after it."""
-    funcs = sip._openblas_threads()
+    funcs = _blas._openblas_threads()
     if funcs is None:
         pytest.skip("no OpenBLAS is loaded, so solve leaves the BLAS threads alone")
     found = funcs[0]()
