@@ -49,8 +49,8 @@ from .poly import Polynomial, _log_factorials, objective_values
 # degree-L coefficient vector, so the optimization interval can stop there.
 LOCALIZATION_FACTOR = 6.5
 
-# Interior-point iteration budget: four times the most (25) that any cell of
-# the supported domain needs.
+# Interior-point iteration budget: above the largest iteration bound (30) of
+# the certifying rows in tests/_domain.py, the table of the supported domain.
 MAX_ITER = 100
 
 # Certified duality-gap tolerance of a solve.
@@ -58,15 +58,10 @@ TOL = 1e-8
 
 
 class RankDeficiencyError(RuntimeError):
-    """Aggregate matrix is not numerically positive definite.
-
-    The aggregate matrix sum_i w_i (V_i V_i^T + diag M_i) of the dual weights,
-    equilibrated on its diagonal, must admit a Cholesky factorization, or
-    the minimizer b*(w) is not determined in double precision.  Unregularized
-    problems hit this on too coarse a grid; regularized ones from about
-    k = 1e17 (L >= 21), where the monomial columns become numerically
-    dependent and the variance weight 1/k is too small to lift them.
-    """
+    """Aggregate matrix is not numerically positive definite, so b*(w) is not
+    determined in double precision: on too coarse an unregularized grid, from
+    k = 3e16 (rwc) and 1e18 (rwc-s) at n/k = 1, and past the underflow edge
+    (tests/_domain.py)."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -275,7 +270,7 @@ def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
     at every grid rate, the degree and the interval, and the likely cause."""
     if len(zero) == data.degree:
         # a_1 too: exp(-lam) itself underflows on the whole grid
-        cause = "n/k is too large (the edge is about 650 at k = 1e15 and 730 at k = 1e2)"
+        cause = "n/k is too large (the edge is about 628 at k = 1e15 and 728 at k = 1e2)"
     else:
         cause = f"degree {data.degree} is too high for this interval (lower c0)"
     which = f"a_{zero[0]}" if len(zero) == 1 else f"a_{zero[0]} to a_{zero[-1]} ({len(zero)} coefficients)"
@@ -332,18 +327,11 @@ def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None
     an RWC-S chain where only the variance weight changes, its grid tables
     are reused, with the same bits as built afresh.
 
-    Supported domain (default grid s = 1000, tol = 1e-8, c0 = 0.558): every
-    k in {1e2, 1e4, 1e6, 1e9, 1e12} with n/k in {1e-6, 1e-3, 0.1, 1, 10}, and
-    k = 1e15 with n/k in {1, 10}, certifies for the rwc and rwc-s weights.
-    From k = 1e15 an rwc cell with n/k <= 1e-3 can end in NonConvergenceError:
-    the iteration evaluates h through `_QuadData.values` on the scaled
-    monomial rows, whose rounding, amplified by the basis, makes its own h
-    noisier than tol there, so the iterates cannot certify the gap.  From
-    k = 1e17 (L >= 21) the equilibrated aggregate matrix is numerically
-    singular and the call raises RankDeficiencyError.  So does every k once
-    n/k passes about 650 (k = 1e15) to 730 (k = 1e2): the grid is the point
-    n/k, where exp(-n/k) is so small that a column of the aggregate matrix
-    underflows to 0.
+    The supported domain, with the default grid, tol and c0, is the table in
+    tests/_domain.py: rwc and rwc-s certify for k = 1e2 to 1e15 at n/k = 1e-6
+    to 10, except rwc at n/k <= 1e-3 from k = 1e15 (NonConvergenceError), and
+    RankDeficiencyError comes from k = 3e16 (rwc) and 1e18 (rwc-s) at n/k = 1
+    and past n/k about 728 at k = 1e2 to 628 at k = 1e15.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

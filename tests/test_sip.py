@@ -1,8 +1,12 @@
 import dataclasses
+import inspect
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from suppest.sip import (
     localized_interval,
     solve,
 )
+from _domain import ROWS, Certifies, Raises, cells, rows_at
 from _rational import dual_value_exact
 
 
@@ -367,33 +372,131 @@ def _weighted_solve(kind, k, n_over_k):
     return result, SipProblem(degree, build_grid(*localized_interval(n, k, degree), spec.s), reg)
 
 
-DOMAIN = [(k, r) for k in (1e2, 1e4, 1e6, 1e9, 1e12) for r in (1e-6, 1e-3, 0.1, 1.0, 10.0)]
-DOMAIN += [(1e15, 1.0), (1e15, 10.0)]
+_NUM = r"(\d+(?:\.\d+)?(?:e-?\d+)?)"
+
+
+def _certifying(rows):
+    return [row for row in rows if isinstance(row.outcome, Certifies)]
+
+
+def _box_claim(estimators, k_lo, k_hi, r_lo, r_hi, except_estimator, except_r, except_k, except_error):
+    """The estimators certify on the box of k and n/k, except `except_estimator`
+    at n/k <= except_r from k = except_k, where it raises `except_error`."""
+    estimators = estimators.split(" and ")
+    box = [
+        row for row in ROWS
+        if row.estimator in estimators and k_lo <= row.k <= k_hi and r_lo <= row.n_over_k <= r_hi
+    ]
+    excepted = [
+        row for row in box
+        if row.estimator == except_estimator and row.n_over_k <= except_r and row.k >= except_k
+    ]
+    assert except_r in {row.n_over_k for row in excepted} and except_k in {row.k for row in excepted}
+    assert all(isinstance(row.outcome, Raises) for row in excepted)
+    assert {row.outcome.error.__name__ for row in excepted} == {except_error}
+    assert _certifying(box) == [row for row in box if row not in excepted]
+    for estimator in estimators:
+        certified = _certifying(row for row in box if row.estimator == estimator)
+        assert {k_lo, k_hi} <= {row.k for row in certified}
+        assert {r_lo, r_hi} <= {row.n_over_k for row in certified}
+    # no row certifies below the box
+    assert k_lo == min(row.k for row in _certifying(ROWS))
+    assert r_lo == min(row.n_over_k for row in _certifying(ROWS))
+
+
+def _rank_claim(k_a, estimator_a, k_b, estimator_b, n_over_k):
+    """At n/k each estimator raises RankDeficiencyError from its k on, and
+    certifies below it."""
+    for k, estimator in ((k_a, estimator_a), (k_b, estimator_b)):
+        rows = [row for row in ROWS if row.estimator == estimator and row.n_over_k == n_over_k]
+        assert k in {row.k for row in rows}
+        for row in rows:
+            if row.k < k:
+                assert isinstance(row.outcome, Certifies), row
+            else:
+                assert isinstance(row.outcome, Raises) and row.outcome.error is RankDeficiencyError, row
+
+
+def _edge_claim(edge, k):
+    """The underflow edge of rwc at k lies between its certifying rows and its
+    underflow rows."""
+    rows = [row for row in ROWS if row.estimator == "rwc" and row.k == k]
+    below = [row.n_over_k for row in _certifying(rows)]
+    above = [row.n_over_k for row in rows if isinstance(row.outcome, Raises) and row.outcome.fragment == "underflow"]
+    assert below and above and max(below) < edge < min(above), (edge, k)
+
+
+def _budget_claim(bound):
+    assert bound == max(row.outcome.max_iter for row in _certifying(ROWS))
+
+
+# each claim a summary makes of the table: its pattern and the check of its numbers
+_CLAIMS = [
+    (
+        rf"(rwc and rwc-s|rwc|rwc-s) certify for k = {_NUM} to {_NUM} at n/k = {_NUM} to {_NUM}, "
+        rf"except (rwc|rwc-s) at n/k <= {_NUM} from k = {_NUM} \((\w+)\)",
+        _box_claim,
+    ),
+    (rf"from k = {_NUM} \((rwc|rwc-s)\) and {_NUM} \((rwc|rwc-s)\) at n/k = {_NUM}", _rank_claim),
+    (rf"{_NUM} at k = {_NUM}", _edge_claim),
+    (rf"largest iteration bound \({_NUM}\)", _budget_claim),
+]
+
+
+def _summaries():
+    """The one-line summaries of the supported domain: in the solve docstring,
+    the README, the RankDeficiencyError docstring and the MAX_ITER comment, and
+    the edges that the underflow message names."""
+    sentence = r"The supported domain.*?\.(?=\s|$)"
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    comment = re.search(r"((?:# .*\n)+)MAX_ITER =", inspect.getsource(sip)).group(1).replace("#", "")
+    message = sip._underflow_message(SimpleNamespace(degree=1, lo=800.0, hi=800.0), np.array([1]))
+    texts = {
+        "solve": re.search(sentence, " ".join(sip.solve.__doc__.split())).group(),
+        "README": re.search(sentence, " ".join(readme.split())).group(),
+        "RankDeficiencyError": sip.RankDeficiencyError.__doc__,
+        "MAX_ITER": comment,
+        "_underflow_message": message.partition("n/k is too large")[2],
+    }
+    return {name: " ".join(text.split()) for name, text in texts.items()}
 
 
 class TestSupportedDomain:
-    @pytest.mark.parametrize("k,n_over_k", DOMAIN)
+    """Generated from the table of the supported domain in _domain.py."""
+
+    @pytest.mark.parametrize("k,n_over_k", cells(Certifies))
     def test_certifies_inside(self, k, n_over_k):
-        for kind in ("rwc", "rwc-s"):
-            result, problem = _weighted_solve(kind, k, n_over_k)
-            assert result.duality_gap <= 1e-8, (kind, result.duality_gap)
-            # 25 is the most any cell needs (sip.MAX_ITER is four times that), so a
-            # rise in iterations cannot hide behind a cheaper iteration
-            assert 0 <= result.iterations <= 25, (kind, result.iterations)
+        for row in rows_at(k, n_over_k, Certifies):
+            result, problem = _weighted_solve(row.estimator, k, n_over_k)
+            assert result.duality_gap <= 1e-8, (row, result.duality_gap)
+            # each row's own bound, so a rise in iterations cannot hide behind
+            # a cheaper iteration
+            assert 0 <= result.iterations <= row.outcome.max_iter, (row, result.iterations)
             grid_max = objective_values(result.coeffs, problem.points, problem.reg_weight)[2].max()
             assert result.t_d == float(grid_max)
 
-    @pytest.mark.parametrize("k", [1e18, 1e20])
-    def test_typed_failure_outside(self, k):
-        for kind in ("rwc", "rwc-s"):
-            with pytest.raises((NonConvergenceError, RankDeficiencyError)):
-                _weighted_solve(kind, k, 1.0)
+    @pytest.mark.parametrize("k,n_over_k", cells(Raises))
+    def test_typed_failure_outside(self, k, n_over_k):
+        # an underflowed column must raise, not be divided by (warnings are errors)
+        for row in rows_at(k, n_over_k, Raises):
+            with pytest.raises(row.outcome.error, match=row.outcome.fragment):
+                _weighted_solve(row.estimator, k, n_over_k)
 
-    def test_underflow_at_large_n_over_k(self):
-        # the grid is the point n/k = 800, where exp(-800) underflows to 0;
-        # the zero column must raise, not be divided by (warnings are errors)
-        with pytest.raises(RankDeficiencyError, match="underflow"):
-            rwc_coefficients(1000, 8e5, EstimatorSpec("rwc"))
+    def test_iteration_bounds_below_budget(self):
+        assert max(row.outcome.max_iter for row in _certifying(ROWS)) < sip.MAX_ITER
+
+    @pytest.mark.parametrize("name", list(_summaries()))
+    def test_summary_matches_table(self, name):
+        # every number of the summary belongs to a claim, and every claim holds
+        text = _summaries()[name]
+        claimed = []
+        for pattern, check in _CLAIMS:
+            for match in re.finditer(pattern, text):
+                check(*(float(g) if re.fullmatch(_NUM, g) else g for g in match.groups()))
+                claimed.append(match.span())
+        assert claimed, text
+        for number in re.finditer(rf"(?<![\w.]){_NUM}", text):
+            assert any(lo <= number.start() < hi for lo, hi in claimed), (number.group(), text)
 
 
 class TestExactCertificate:
