@@ -60,8 +60,8 @@ TOL = 1e-8
 class RankDeficiencyError(RuntimeError):
     """Aggregate matrix is not numerically positive definite, so b*(w) is not
     determined in double precision: on too coarse an unregularized grid, from
-    k = 3e16 (rwc) and 1e18 (rwc-s) at n/k = 1, and past the underflow edge
-    (tests/_domain.py)."""
+    k = 3e16 (rwc) and 1e18 (rwc-s) at n/k = 1 (tests/_domain.py), and when
+    the objective underflows for a degree too high for its interval."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -267,17 +267,12 @@ def _triangle(data: _QuadData, filled_t: np.ndarray) -> np.ndarray:
 
 def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
     """Names the coefficients a_j (j in `zero`) whose objective terms underflow
-    at every grid rate, the degree and the interval, and the likely cause."""
-    if len(zero) == data.degree:
-        # a_1 too: exp(-lam) itself underflows on the whole grid
-        cause = "n/k is too large (the edge is about 628 at k = 1e15 and 728 at k = 1e2)"
-    else:
-        cause = f"degree {data.degree} is too high for this interval (lower c0)"
+    at every grid rate, the degree and the interval, and the cause."""
     which = f"a_{zero[0]}" if len(zero) == 1 else f"a_{zero[0]} to a_{zero[-1]} ({len(zero)} coefficients)"
     return (
         f"the objective underflows at every grid rate for {which} of the degree-{data.degree} "
         f"polynomial on [{data.lo:.6g}, {data.hi:.6g}], which leaves them "
-        f"undetermined; {cause}"
+        f"undetermined; degree {data.degree} is too high for this interval (lower c0)"
     )
 
 
@@ -307,8 +302,7 @@ def _newton_factor(data: _QuadData, b, res, d, z_sum, r_dual):
     return grad, _triangle(data, rows_t)
 
 
-def _result(data: _QuadData, problem: SipProblem, b, w, q, iterations) -> SolveResult:
-    coeffs = data.unscale(b)
+def _result(data: _QuadData, problem: SipProblem, coeffs: Polynomial, w, q, iterations) -> SolveResult:
     # report the primal value through the same evaluation path callers use
     t_d = float(objective_values(coeffs, problem.points, problem.reg_weight)[2].max())
     return SolveResult(problem, coeffs, t_d, max(t_d - q, 0.0), iterations, w, data.tables)
@@ -325,13 +319,13 @@ def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None
     same size; the optimum is unique, so different starts agree to solver
     accuracy.  When `warm` also has this problem's degree and grid, as along
     an RWC-S chain where only the variance weight changes, its grid tables
-    are reused, with the same bits as built afresh.
+    are reused, with the same bits as built afresh.  Where one rate binds, at
+    degree 0 or on a one-point grid, the solve is a closed form instead.
 
     The supported domain, with the default grid, tol and c0, is the table in
     tests/_domain.py: rwc and rwc-s certify for k = 1e2 to 1e15 at n/k = 1e-6
-    to 10, except rwc at n/k <= 1e-3 from k = 1e15 (NonConvergenceError), and
-    RankDeficiencyError comes from k = 3e16 (rwc) and 1e18 (rwc-s) at n/k = 1
-    and past n/k about 728 at k = 1e2 to 628 at k = 1e15.
+    to 1e6, except rwc at n/k <= 1e-3 from k = 1e15 (NonConvergenceError), and
+    RankDeficiencyError comes from k = 3e16 (rwc) and 1e18 (rwc-s) at n/k = 1.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -351,20 +345,33 @@ def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None
         tables = None
     data = _QuadData(problem, tables)
 
-    if problem.degree == 0:
-        # no free variables: the maximum sits at a single grid point
+    if problem.degree == 0 or s == 1:
+        # one rate binds: the grid maximum at degree 0, which has no free
+        # coefficient, or the only rate.  There the problem is a ridge
+        # regression on one point, solved by a_l = 1 / (l! D) with
+        # D = w e^lam + sum_{l=1..L} lam^l / l! for the variance weight w,
+        # and its minimum is q = w e^-lam (1 + 1/D); in the log domain no
+        # term overflows
         h = data.m0 + data.v0**2
         i = int(np.argmax(h))
+        lam, reg, coeffs, q = problem.points[i], problem.reg_weight, (-1.0,), float(h[i])
+        if problem.degree:  # then reg > 0, as a one-point grid needs
+            log_fact = _log_factorials(problem.degree)[1:]
+            log_terms = np.arange(1, problem.degree + 1) * math.log(lam) - log_fact  # log lam^l / l!
+            log_d = np.logaddexp(math.log(reg) + lam, np.logaddexp.reduce(log_terms))
+            coeffs = (-1.0, *np.exp(-log_fact - log_d))
+            q = reg * math.exp(-lam) * (1.0 + math.exp(-log_d))
         dual = np.zeros(s)
         dual[i] = 1.0
-        return SolveResult(problem, Polynomial((-1.0,)), float(h[i]), 0.0, 0, dual, data.tables)
+        return _result(data, problem, Polynomial(coeffs), dual, q, 0)
 
     with one_blas_thread:
         return _interior_point(data, problem, tol, w)
 
 
 def _interior_point(data: _QuadData, problem: SipProblem, tol: float, w: np.ndarray) -> SolveResult:
-    """The iteration of `solve` from the start duals w, for degree >= 1."""
+    """The iteration of `solve` from the start duals w, for degree >= 1 on a
+    grid of two or more rates."""
     degree = problem.degree
     s = len(w)
     q, r = _dual_solve(data, w)
@@ -383,7 +390,7 @@ def _interior_point(data: _QuadData, problem: SipProblem, tol: float, w: np.ndar
     while True:
         gap = float(h.max()) - q
         if gap <= tol:
-            result = _result(data, problem, b, w, q, iterations)
+            result = _result(data, problem, data.unscale(b), w, q, iterations)
             if result.duality_gap <= tol:
                 return result
         if best is None or gap < best[0]:
@@ -436,7 +443,7 @@ def _interior_point(data: _QuadData, problem: SipProblem, tol: float, w: np.ndar
         q, r = _dual_solve(data, w)
 
     _, b, w, q = best
-    result = _result(data, problem, b, w, q, iterations)
+    result = _result(data, problem, data.unscale(b), w, q, iterations)
     raise NonConvergenceError(
         f"duality gap {result.duality_gap:.3e} above tolerance {tol:.3e} after {iterations} iterations",
         best=result,

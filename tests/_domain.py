@@ -39,7 +39,6 @@ class Row:
 
 _INSIDE = Certifies(25)
 _NOT_PD = Raises(RankDeficiencyError, "positive definite")
-_UNDERFLOW = Raises(RankDeficiencyError, "underflow")
 _NO_CERTIFICATE = Raises(NonConvergenceError, "above tolerance")
 
 ROWS = [
@@ -70,16 +69,22 @@ ROWS = [
     Row("rwc", 1e17, 1.0, _NOT_PD),
     Row("rwc-s", 1e17, 1.0, _INSIDE),  # 0 iterations
     *(Row(estimator, k, 1.0, _NOT_PD) for k in (1e18, 1e20) for estimator in ("rwc", "rwc-s")),
-    # The underflow edge: past 6.5 L the grid is the point n/k, and from about
-    # n/k = 728 (k = 1e2) to 628 (k = 1e15) its objective terms underflow and
-    # determine no coefficient.  Bisection put the last certifying n/k at
-    # 728.1, 707.9, 694.1, 670.3, 648.3 and 627.5 for k = 1e2, 1e4, 1e6, 1e9,
-    # 1e12 and 1e15.
-    Row("rwc", 1e2, 720.0, _INSIDE),
-    Row("rwc", 1e2, 740.0, _UNDERFLOW),
-    Row("rwc", 1e3, 800.0, _UNDERFLOW),  # `suppest coeffs --k 1000 --n 8e5` in CI
-    Row("rwc", 1e15, 600.0, _INSIDE),
-    Row("rwc", 1e15, 640.0, _UNDERFLOW),
+    # Past 6.5 L the grid is the point n/k, and `solve` takes the one-rate
+    # closed form there, in 0 iterations.  It works in the log domain, so the
+    # underflow of the interior-point tables, which would leave every
+    # coefficient undetermined from about n/k = 728 (k = 1e2) to 628
+    # (k = 1e15), is no edge.
+    Row("rwc", 1e2, 720.0, Certifies(0)),
+    Row("rwc", 1e2, 740.0, Certifies(0)),
+    Row("rwc", 1e3, 800.0, Certifies(0)),  # `suppest coeffs --k 1000 --n 8e5` in CI
+    Row("rwc", 1e15, 600.0, Certifies(0)),
+    Row("rwc", 1e15, 640.0, Certifies(0)),
+    *(
+        Row(estimator, k, n_over_k, Certifies(0))
+        for k in (1e2, 1e4, 1e6, 1e9, 1e12, 1e15)
+        for n_over_k in (1e3, 1e6)
+        for estimator in ("rwc", "rwc-s")
+    ),
 ]
 
 

@@ -187,6 +187,14 @@ class TestEstimate:
             assert out == ""
             assert err == f"suppest: error: --k {k} is below the 3 distinct symbols observed\n"
 
+    def test_counts_past_underflow_edge(self, capsys, tmp_path):
+        # n/k = 900.005: the rwc and rwc-s grids are that one rate
+        path = tmp_path / "counts.tsv"
+        path.write_text("a\t900000\nb\t5\n")
+        code, out, err = run(capsys, "estimate", str(path), "--counts", "--k", "1000", "--estimator", "rwc,rwc-s")
+        assert code == 0 and err == ""
+        assert [rec["value"] for rec in json.loads(out)] == [2.0, 2.0]
+
     def test_clamp(self, capsys, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("a\t1\nb\t1\nc\t2\n")
@@ -271,13 +279,17 @@ class TestCoeffs:
         assert "numerical failure" in err
         assert "positive definite" in err
 
-    def test_underflow_exit_2(self, capsys):
-        # n/k = 800: exp(-n/k) underflows at the single grid point
+    def test_one_rate_past_underflow_exit_0(self, capsys):
+        # n/k = 800 is past 6.5 L: the grid is the point n/k, where exp(-n/k)
+        # underflows, and the closed form gives coefficients below the
+        # subnormal range, so exactly 0, and g = 1 on every count
         code, out, err = run(capsys, "coeffs", "--k", "1000", "--n", "8e5")
-        assert code == 2
-        assert out == ""
+        assert code == 0
         assert "Warning" not in err
-        assert "underflow" in err and "n/k is too large" in err
+        payload = json.loads(out)
+        assert payload["grid_points"] == 1
+        assert payload["g_values"][1:] == ["1"] * payload["degree"]
+        assert (payload["duality_gap"], payload["iterations"]) == ("0", 0)
 
     def test_degree_underflow_exit_2(self, capsys):
         # n/k = 1, but c0 = 100 gives L = 921 on [1, 5986.5], whose high-degree
@@ -374,6 +386,15 @@ class TestSimulate:
         probe = f"import sys; from suppest.cli import main; sys.exit(main({argv!r}))"
         fresh = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert first == second == fresh.stdout
+
+    def test_one_rate_cells_past_underflow_edge(self, capsys):
+        # k = 1000 and n = 8e5: every solve is the one rate n/k = 800
+        argv = ("--dist", "uniform", "--min-mass", "1e-3", "--n-frac", "800", "--trials", "2", "--estimators", "rwc,rwc-s,naive")
+        code, out, _ = run(capsys, "simulate", *argv)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert sorted(row["estimator"] for row in rows) == ["naive", "rwc", "rwc-s"]
+        assert all(row["error"] == "" for row in rows)
 
     def test_runtime_kept_out_of_csv(self, capsys):
         # no wall-clock field in either format: both are pure functions of the inputs

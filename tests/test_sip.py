@@ -4,9 +4,9 @@ import math
 import re
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from suppest.sip import (
     localized_interval,
     solve,
 )
+from _decimal60 import one_rate_exact
 from _domain import ROWS, Certifies, Raises, cells, rows_at
 from _rational import dual_value_exact
 
@@ -223,6 +224,57 @@ class TestSolve:
         assert err <= 1e-10
 
 
+# the smallest subnormal double
+_TINY = Decimal(2) ** -1074
+
+
+class TestOneRate:
+    """The closed form of `solve` where one rate binds, against 60 digits."""
+
+    @pytest.mark.parametrize(
+        "lam,reg,degree",
+        [(20.0, 1e-2, 2), (100.0, 1e-4, 5), (600.0, 1e-15, 19), (720.0, 1e-6, 7), (740.0, 1e-3, 3), (800.0, 1e-3, 3),
+         (1000.0, 1e-15, 19)],
+    )
+    def test_matches_decimal_reference(self, lam, reg, degree):
+        result = solve(SipProblem(degree, np.array([lam]), reg))
+        exact, q = one_rate_exact(lam, reg, degree)
+        for a, ref in zip(result.coeffs.coeffs[1:], exact, strict=True):
+            if ref < _TINY / 2:  # below the subnormal range
+                assert a == 0.0, (a, ref)
+            else:  # a subnormal has one more unit of rounding
+                assert abs(Decimal(a) - ref) <= Decimal(1e-12) * ref + _TINY, (a, ref)
+        # no primal value below the minimum, up to the rounding of t_d's float
+        # evaluation (about (L + 1) eps), and the lower bound is the minimum
+        assert q <= Decimal(result.t_d) * (1 + Decimal(1e-14)) + _TINY
+        assert abs(Decimal(result.t_d - result.duality_gap) - q) <= Decimal(1e-12) * q + _TINY
+        assert result.iterations == 0 and result.dual_weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("lam,reg,degree", [(20.0, 1e-2, 2), (100.0, 1e-4, 5)])
+    def test_reference_is_the_rational_dual_value(self, lam, reg, degree):
+        # the closed form against the normal equations of the solver's own
+        # one-point tables, solved over exact rationals
+        data = _QuadData(SipProblem(degree, np.array([lam]), reg))
+        q_rational = dual_value_exact(data.V.T.tolist(), data.v0.tolist(), data.M.T.tolist(), data.m0.tolist(), [1.0])
+        _, q = one_rate_exact(lam, reg, degree)
+        assert abs(Decimal(q_rational.numerator) / q_rational.denominator - q) <= Decimal(1e-12) * q
+
+    def test_degree_zero_unregularized(self):
+        # w = 0 is legal on a grid of two or more points: h = exp(-lam)^2, largest at lam = 2
+        res = solve(SipProblem(0, build_grid(2.0, 10.0, 5), 0.0))
+        assert res.t_d == math.exp(-2.0) ** 2
+        assert (res.duality_gap, res.iterations, res.dual_weights.tolist()) == (0.0, 0, [1.0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("degree,points", [(0, build_grid(2.0, 10.0, 5)), (3, np.array([50.0]))])
+    def test_warm_checked_then_ignored(self, degree, points):
+        problem = SipProblem(degree, points, 1e-3)
+        cold = solve(problem)
+        with pytest.raises(ValueError):
+            solve(problem, warm=solve(_standard_problem(s=3)))
+        other = dataclasses.replace(cold, dual_weights=np.arange(1.0, len(points) + 1))
+        assert TestSolve._same_solve(solve(problem, warm=other), cold)
+
+
 @pytest.fixture
 def blas_threads():
     """(get, set) thread-count functions of the loaded OpenBLAS; the count the
@@ -255,9 +307,9 @@ class TestOneBlasThread:
         seen = _count_inside(monkeypatch, get)
         solve(_standard_problem(s=101))
         assert get() == found
-        # past the underflow edge: the first dual solve raises
+        # the (rwc, k = 1e20, n/k = 1) row of tests/_domain.py: the first dual solve raises
         with pytest.raises(RankDeficiencyError):
-            rwc_coefficients(1000, 8e5, EstimatorSpec("rwc"))
+            rwc_coefficients(1e20, 1e20, EstimatorSpec("rwc"))
         assert get() == found
         monkeypatch.setattr(sip, "MAX_ITER", 0)
         with pytest.raises(NonConvergenceError):
@@ -417,15 +469,6 @@ def _rank_claim(k_a, estimator_a, k_b, estimator_b, n_over_k):
                 assert isinstance(row.outcome, Raises) and row.outcome.error is RankDeficiencyError, row
 
 
-def _edge_claim(edge, k):
-    """The underflow edge of rwc at k lies between its certifying rows and its
-    underflow rows."""
-    rows = [row for row in ROWS if row.estimator == "rwc" and row.k == k]
-    below = [row.n_over_k for row in _certifying(rows)]
-    above = [row.n_over_k for row in rows if isinstance(row.outcome, Raises) and row.outcome.fragment == "underflow"]
-    assert below and above and max(below) < edge < min(above), (edge, k)
-
-
 def _budget_claim(bound):
     assert bound == max(row.outcome.max_iter for row in _certifying(ROWS))
 
@@ -438,25 +481,21 @@ _CLAIMS = [
         _box_claim,
     ),
     (rf"from k = {_NUM} \((rwc|rwc-s)\) and {_NUM} \((rwc|rwc-s)\) at n/k = {_NUM}", _rank_claim),
-    (rf"{_NUM} at k = {_NUM}", _edge_claim),
     (rf"largest iteration bound \({_NUM}\)", _budget_claim),
 ]
 
 
 def _summaries():
     """The one-line summaries of the supported domain: in the solve docstring,
-    the README, the RankDeficiencyError docstring and the MAX_ITER comment, and
-    the edges that the underflow message names."""
+    the README, the RankDeficiencyError docstring and the MAX_ITER comment."""
     sentence = r"The supported domain.*?\.(?=\s|$)"
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     comment = re.search(r"((?:# .*\n)+)MAX_ITER =", inspect.getsource(sip)).group(1).replace("#", "")
-    message = sip._underflow_message(SimpleNamespace(degree=1, lo=800.0, hi=800.0), np.array([1]))
     texts = {
         "solve": re.search(sentence, " ".join(sip.solve.__doc__.split())).group(),
         "README": re.search(sentence, " ".join(readme.split())).group(),
         "RankDeficiencyError": sip.RankDeficiencyError.__doc__,
         "MAX_ITER": comment,
-        "_underflow_message": message.partition("n/k is too large")[2],
     }
     return {name: " ".join(text.split()) for name, text in texts.items()}
 
