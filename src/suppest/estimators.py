@@ -11,6 +11,7 @@ weight 1/k; RWC-S re-weights by 1 over the naive count from the same sample.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .data import Fingerprint
@@ -42,6 +43,10 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}, expected one of {KINDS}")
         if self.c0 <= 0 or self.c1 <= 0:
             raise ValueError("c0 and c1 must be positive")
+        if not (math.isfinite(self.c0) and math.isfinite(self.c1)):
+            raise ValueError("c0 and c1 must be finite")
+        if not isinstance(self.s, numbers.Integral):
+            raise ValueError(f"grid size s must be an integer, got {self.s!r}")
         if self.s < 2:
             raise ValueError("grid size s must be >= 2")
         if not self.tol > 0:
@@ -130,32 +135,71 @@ def good_turing(fp: Fingerprint) -> float:
     return naive_count(fp) / (1.0 - h1 / n)
 
 
+def _naive_fallback(spec: EstimatorSpec, fps, exc: ValueError) -> list[EstimateResult]:
+    """Naive counts in place of an estimator that failed with `exc`, or `exc`
+    again when the spec does not fall back."""
+    if not spec.fallback_to_naive:
+        raise exc
+    return [EstimateResult(naive_count(fp), {"fallback": "naive"}) for fp in fps]
+
+
 def estimate(spec: EstimatorSpec, fp: Fingerprint, k: float) -> EstimateResult:
-    """Dispatch to the requested estimator and apply it to the fingerprint;
-    the sample size n is fp.n."""
+    """Apply the requested estimator to one fingerprint; the sample size n is fp.n."""
+    return estimates(spec, [fp], k, {})[0]
+
+
+def estimates(spec: EstimatorSpec, fps, k: float, cache: dict) -> list[EstimateResult]:
+    """Apply the requested estimator to fingerprints that share one sample size n.
+
+    WY and RWC coefficients are data independent and RWC-S ones depend on a
+    fingerprint only through its naive count S_c, so each is solved once per
+    distinct S_c (None for WY and RWC) and kept in `cache` under (spec, k, n, S_c).
+    The uncached RWC-S counts are solved in ascending order, each warm-started
+    from the previous solve; the coefficients depend on that order (within the
+    solver tolerance), which is why it is fixed.  A count solved in this call
+    shares one diagnostics dict among its results; one found in `cache` has none.
+    """
     if spec.kind == "naive":
-        return EstimateResult(naive_count(fp))
-    n = fp.n
-    try:
-        if spec.kind == "gt":
-            return EstimateResult(good_turing(fp))
-        if spec.kind == "wy":
-            return EstimateResult(apply_poly_estimator(fp, wy_coefficients(k, n, spec)[0]))
-    except (CoverageZeroError, IntervalCollapseError):
-        if spec.fallback_to_naive:
-            return EstimateResult(naive_count(fp), diagnostics={"fallback": "naive"})
-        raise
-    if spec.kind == "rwc":
-        result = rwc_coefficients(k, n, spec)
-    else:  # rwc-s
-        s_c = naive_count(fp)
-        result = rwcs_coefficients(k, n, s_c, spec)
-    diagnostics = {
-        "degree": result.coeffs.degree,
-        "t_d": result.t_d,
-        "duality_gap": result.duality_gap,
-        "iterations": result.iterations,
-    }
-    if spec.kind == "rwc-s":
-        diagnostics["s_count"] = s_c
-    return EstimateResult(apply_poly_estimator(fp, result.coeffs), diagnostics)
+        return [EstimateResult(naive_count(fp)) for fp in fps]
+    if spec.kind == "gt":
+        results = []
+        for fp in fps:
+            try:
+                results.append(EstimateResult(good_turing(fp)))
+            except CoverageZeroError as exc:
+                results += _naive_fallback(spec, [fp], exc)
+        return results
+    if not fps:
+        return []
+    n = fps[0].n
+    if spec.kind == "wy":
+        key = (spec, k, n, None)
+        if key not in cache:
+            try:
+                cache[key] = wy_coefficients(k, n, spec)[0]
+            except IntervalCollapseError as exc:
+                return _naive_fallback(spec, fps, exc)
+        return [EstimateResult(apply_poly_estimator(fp, cache[key])) for fp in fps]
+    counts = [naive_count(fp) if spec.kind == "rwc-s" else None for fp in fps]
+    diagnostics = {}
+    warm = None
+    for s_c in sorted(set(counts)):
+        if (spec, k, n, s_c) in cache:
+            continue
+        if s_c is None:
+            warm = rwc_coefficients(k, n, spec)
+        else:
+            warm = rwcs_coefficients(k, n, s_c, spec, warm=warm)
+        cache[spec, k, n, s_c] = warm.coeffs
+        diagnostics[s_c] = {
+            "degree": warm.coeffs.degree,
+            "t_d": warm.t_d,
+            "duality_gap": warm.duality_gap,
+            "iterations": warm.iterations,
+        }
+        if s_c is not None:
+            diagnostics[s_c]["s_count"] = s_c
+    return [
+        EstimateResult(apply_poly_estimator(fp, cache[spec, k, n, s_c]), diagnostics.get(s_c, {}))
+        for fp, s_c in zip(fps, counts)
+    ]

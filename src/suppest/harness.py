@@ -2,17 +2,12 @@
 
 Runs are driven entirely by (specs, distributions, n fractions, trials,
 seed) and produce deterministic reports: per-trial samples are drawn from
-splittable child seeds keyed by (distribution, n, trial), cells run serially
-in a fixed order, and within a cell the distinct RWC-S counts are solved in
-sorted order, each warm-started from the previous solve.  The warm start makes
-the stored coefficients depend on that order (within the solver tolerance),
-which is why the order is fixed.  Reports are plain values with no
-wall-clock times, so repeated runs give equal reports.
-
-What depends only on the (distribution, n) cell is paid once per cell: the
-sampling table of its trials (`data.sample_fingerprints`), the WY polynomial
-and the RWC solve, and the grid tables of its RWC-S warm chain.  None of it
-outlives the cell but the cached coefficients.
+splittable child seeds keyed by (distribution, n, trial), one sampling table
+per (distribution, n) cell (`data.sample_fingerprints`), and cells run
+serially in a fixed order.  Each cell's trials are estimated together by
+`estimators.estimates`, which solves each coefficient set once and fixes the
+order of the RWC-S warm chain.  Reports are plain values with no wall-clock
+times, so repeated runs give equal reports.
 """
 
 from __future__ import annotations
@@ -61,43 +56,6 @@ class ConvergenceReport:
     rate_exponent: float | None
 
 
-def _cell_estimates(spec, dist, n, fps, cache) -> list[float]:
-    """Estimates for every trial fingerprint.
-
-    The coefficients of the polynomial-class estimators are paid once per
-    cell, not per trial.  WY and RWC coefficients are data independent and
-    RWC-S ones depend on the trial only through its naive count S_c, so each
-    is solved once per distinct S_c (None for WY and RWC) and cached under
-    (spec, k, n, S_c).  Nearby counts give nearly the same minimax, so the
-    uncached RWC-S counts are solved in ascending order, each warm-started
-    from the previous solve, whose dual weights and grid tables it takes.
-    """
-    k = dist.k
-    if spec.kind in ("gt", "naive"):
-        return [est_mod.estimate(spec, fp, k).value for fp in fps]
-    counts = [est_mod.naive_count(fp) if spec.kind == "rwc-s" else None for fp in fps]
-    warm = None
-    for s_c in sorted(set(counts)):
-        key = (spec, k, n, s_c)
-        if key in cache:
-            continue
-        if spec.kind == "wy":
-            try:
-                cache[key] = est_mod.wy_coefficients(k, n, spec)[0]
-            except est_mod.IntervalCollapseError:
-                # estimate holds the fallback rule: naive counts, or this error again
-                return [est_mod.estimate(spec, fp, k).value for fp in fps]
-        else:
-            if s_c is None:
-                warm = est_mod.rwc_coefficients(k, n, spec)
-            else:
-                warm = est_mod.rwcs_coefficients(k, n, s_c, spec, warm=warm)
-            cache[key] = warm.coeffs
-    return [
-        est_mod.apply_poly_estimator(fp, cache[spec, k, n, s_c]) for fp, s_c in zip(fps, counts)
-    ]
-
-
 def evaluate_risk(specs, dists, n_fracs, trials: int, seed: int) -> RiskReport:
     """Monte-Carlo risk sweep over (estimator x distribution x n) cells.
 
@@ -120,7 +78,7 @@ def evaluate_risk(specs, dists, n_fracs, trials: int, seed: int) -> RiskReport:
             for spec in specs:
                 error = ""
                 try:
-                    values = np.array(_cell_estimates(spec, dist, n, fps, cache))
+                    values = np.array([r.value for r in est_mod.estimates(spec, fps, dist.k, cache)])
                 except (NonConvergenceError, RankDeficiencyError, ValueError) as exc:
                     # a typed numerical or input failure marks the row with NaN
                     # statistics and the sweep goes on; any other exception is

@@ -9,9 +9,11 @@ from suppest.estimators import (
     CoverageZeroError,
     EstimatorSpec,
     IntervalCollapseError,
+    KINDS,
     apply_poly_estimator,
     degree_for,
     estimate,
+    estimates,
     good_turing,
     naive_count,
     rwc_coefficients,
@@ -188,6 +190,24 @@ class TestEstimateDispatch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             EstimatorSpec("bogus")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("c0", math.inf, "c0 and c1 must be finite"),
+            ("c0", math.nan, "c0 and c1 must be finite"),
+            ("c1", math.inf, "c0 and c1 must be finite"),
+            ("c1", math.nan, "c0 and c1 must be finite"),
+            ("s", 2.5, "grid size s must be an integer"),
+        ],
+    )
+    def test_spec_rejects(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            EstimatorSpec("rwc", **{field: value})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_fingerprints(self, kind):
+        assert estimates(EstimatorSpec(kind), [], 100.0, {}) == []
 
     def test_all_values_finite(self):
         fp = Fingerprint({1: 40, 2: 12, 3: 4, 7: 1})

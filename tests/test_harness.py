@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from suppest import harness
+from suppest import estimators, harness
 from suppest.data import child_seed, make_distribution, sample_fingerprint
 from suppest.estimators import (
+    EstimateResult,
     EstimatorSpec,
     apply_poly_estimator,
     degree_for,
@@ -64,7 +65,7 @@ class TestEvaluateRisk:
             return result
 
         monkeypatch.setattr(harness.est_mod, "rwcs_coefficients", recording)
-        values = harness._cell_estimates(spec, dist, n, fps, {})
+        values = [r.value for r in estimators.estimates(spec, fps, k, {})]
         monkeypatch.undo()
         counts = [naive_count(fp) for fp in fps]
         # each distinct count solved once, ascending, warm after the first
@@ -89,16 +90,17 @@ class TestEvaluateRisk:
         fracs = [1e-3, 1.0, 10.0]
         seen = []
 
-        def recording(spec, dist, n, fps, cache):
-            seen.append((dist, n, fps))
-            return [0.0] * len(fps)
+        def recording(spec, fps, k, cache):
+            seen.append((k, fps))
+            return [EstimateResult(0.0)] * len(fps)
 
-        monkeypatch.setattr(harness, "_cell_estimates", recording)
+        monkeypatch.setattr(harness.est_mod, "estimates", recording)
         evaluate_risk([EstimatorSpec("naive")], dists, fracs, trials=3, seed=8)
         assert len(seen) == len(dists) * len(fracs)
         cells = [(di, ni) for di in range(len(dists)) for ni in range(len(fracs))]
-        for (di, ni), (dist, n, fps) in zip(cells, seen):
-            assert dist is dists[di] and n == round(fracs[ni] * dist.k)
+        for (di, ni), (k, fps) in zip(cells, seen):
+            dist, n = dists[di], round(fracs[ni] * dists[di].k)
+            assert k == dists[di].k
             assert fps == [sample_fingerprint(dist, n, child_seed(8, di, ni, t)) for t in range(3)]
 
     def test_wy_solved_once_per_cell(self, monkeypatch):
@@ -116,6 +118,55 @@ class TestEvaluateRisk:
             fps = [sample_fingerprint(dist, row.n, child_seed(2, 0, [500, 1000].index(row.n), t)) for t in range(5)]
             values = [estimate(EstimatorSpec("wy"), fp, dist.k).value for fp in fps]
             assert row.mean == float(np.mean(values))
+
+    def test_gt_cell_mixing_zero_coverage_and_regular_trials(self):
+        # uniform k = 100 at n = 12: about half the samples are all singletons
+        dist = make_distribution("uniform", 1e-2)
+        fps = [sample_fingerprint(dist, 12, child_seed(4, 0, 0, t)) for t in range(10)]
+        zero = [fp.h.get(1, 0) == fp.n for fp in fps]
+        assert any(zero) and not all(zero)
+        spec = EstimatorSpec("gt", fallback_to_naive=True)
+        row = evaluate_risk([spec], [dist], [0.12], trials=10, seed=4).rows[0]
+        assert row.error == ""
+        assert row.mean == float(np.mean([estimate(spec, fp, dist.k).value for fp in fps]))
+        row = evaluate_risk([EstimatorSpec("gt")], [dist], [0.12], trials=10, seed=4).rows[0]
+        assert row.error.startswith("CoverageZeroError")
+        assert math.isnan(row.mean)
+
+    def test_rwc_and_wy_solved_once_across_equal_cells(self, monkeypatch):
+        calls = []
+        for name in ("rwc_coefficients", "wy_coefficients"):
+            original = getattr(estimators, name)
+
+            def counted(k, n, spec, original=original, name=name):
+                calls.append((name, k, n))
+                return original(k, n, spec)
+
+            monkeypatch.setattr(harness.est_mod, name, counted)
+        dist = make_distribution("uniform", 1e-3)
+        specs = [EstimatorSpec("rwc", s=200), EstimatorSpec("wy")]
+        report = evaluate_risk(specs, [dist, dist], [0.5], trials=3, seed=1)
+        assert sorted(calls) == [("rwc_coefficients", dist.k, 500), ("wy_coefficients", dist.k, 500)]
+        assert all(row.error == "" for row in report.rows)
+
+    @pytest.mark.parametrize("kind", ["naive", "gt", "wy", "rwc"])
+    def test_sweep_values_are_the_per_fingerprint_estimates(self, monkeypatch, kind):
+        dist = make_distribution("zipf", 1e-3, alpha=1.0)
+        spec = EstimatorSpec(kind, s=200)
+        seen = []
+        original = estimators.estimates
+
+        def recording(spec_, fps, k, cache):
+            results = original(spec_, fps, k, cache)
+            seen.append((fps, [r.value for r in results]))
+            return results
+
+        monkeypatch.setattr(harness.est_mod, "estimates", recording)
+        evaluate_risk([spec], [dist], [0.1, 1.0], trials=4, seed=6)
+        monkeypatch.undo()
+        assert len(seen) == 2
+        for fps, values in seen:
+            assert values == [estimate(spec, fp, dist.k).value for fp in fps]
 
     def test_fraction_mode(self):
         dist = make_distribution("uniform", 1e-2)
