@@ -49,8 +49,20 @@ class EstimatorSpec:
             raise ValueError(f"grid size s must be an integer, got {self.s!r}")
         if self.s < 2:
             raise ValueError("grid size s must be >= 2")
-        if not self.tol > 0:
+        if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """How a solve starts (see `sip.solve`): from `result`, an earlier solve
+    on a grid of the same size, and after trying the dual weights `guess`
+    (an array over the grid).  Either may be None."""
+
+    result: SolveResult | None = None
+    guess: object = None  # an array over the grid
 
 
 @dataclass(frozen=True)
@@ -82,26 +94,32 @@ def wy_coefficients(k: float, n: float, spec: EstimatorSpec) -> tuple[Polynomial
 
 
 def _solve_weighted(
-    k: float, n: float, count: float, spec: EstimatorSpec, warm: SolveResult | None = None
+    k: float, n: float, count: float, spec: EstimatorSpec, warm: SolveResult | WarmStart | None
 ) -> SolveResult:
     """Solve with variance weight 1 / count, after degree_for has rejected k < 2."""
     degree = degree_for(k, spec.c0)
     problem = SipProblem(degree, build_grid(*localized_interval(n, k, degree), spec.s), 1.0 / count)
-    return solve(problem, tol=spec.tol, warm=warm)
+    if not isinstance(warm, WarmStart):
+        warm = WarmStart(warm)
+    return solve(problem, tol=spec.tol, warm=warm.result, guess=warm.guess)
 
 
-def rwc_coefficients(k: float, n: float, spec: EstimatorSpec) -> SolveResult:
-    """Solve the discretized minimax with variance weight 1/k."""
-    return _solve_weighted(k, n, k, spec)
+def rwc_coefficients(
+    k: float, n: float, spec: EstimatorSpec, warm: SolveResult | WarmStart | None = None
+) -> SolveResult:
+    """Solve the discretized minimax with variance weight 1/k; `warm` as for
+    `rwcs_coefficients`."""
+    return _solve_weighted(k, n, k, spec, warm)
 
 
 def rwcs_coefficients(
-    k: float, n: float, s_count: float, spec: EstimatorSpec, warm: SolveResult | None = None
+    k: float, n: float, s_count: float, spec: EstimatorSpec, warm: SolveResult | WarmStart | None = None
 ) -> SolveResult:
     """RWC variant with variance weight 1 over the naive counting estimate.
 
     `warm` warm-starts the solver from an earlier solve on a grid of the same
-    size, such as a neighbouring count's on the same (k, n, spec) grid (see
+    size, such as a neighbouring count's on the same (k, n, spec) grid, or
+    is a `WarmStart`, which may also hold dual weights to try first (see
     `sip.solve`); the result is certified to the same tolerance either way.
     """
     if s_count < 1:
@@ -155,9 +173,13 @@ def estimates(spec: EstimatorSpec, fps, k: float, cache: dict) -> list[EstimateR
     fingerprint only through its naive count S_c, so each is solved once per
     distinct S_c (None for WY and RWC) and kept in `cache` under (spec, k, n, S_c).
     The uncached RWC-S counts are solved in ascending order, each warm-started
-    from the previous solve; the coefficients depend on that order (within the
-    solver tolerance), which is why it is fixed.  A count solved in this call
-    shares one diagnostics dict among its results; one found in `cache` has none.
+    from the previous solve.  Under `spec`, `cache` also keeps the variance
+    weights and dual weights of the last two RWC or RWC-S solves of the spec,
+    in this call or an earlier one; each solve first tries the secant through
+    them (`_secant`).  The coefficients depend on the order of the solves
+    (within the solver tolerance), which is why it is fixed.  A count solved
+    in this call shares one diagnostics dict among its results; one found in
+    `cache` has none.
     """
     if spec.kind == "naive":
         return [EstimateResult(naive_count(fp)) for fp in fps]
@@ -182,14 +204,21 @@ def estimates(spec: EstimatorSpec, fps, k: float, cache: dict) -> list[EstimateR
         return [EstimateResult(apply_poly_estimator(fp, cache[key])) for fp in fps]
     counts = [naive_count(fp) if spec.kind == "rwc-s" else None for fp in fps]
     diagnostics = {}
+    record = cache.setdefault(spec, [])
     warm = None
     for s_c in sorted(set(counts)):
         if (spec, k, n, s_c) in cache:
             continue
+        guess = _secant(record, k if s_c is None else s_c, spec.s)
+        # a start is passed only when there is one, so that the calls keep
+        # the plain forms rwc_coefficients(k, n, spec) and, for the first
+        # count, rwcs_coefficients(k, n, s_c, spec)
+        start = () if warm is None and guess is None else (WarmStart(warm, guess),)
         if s_c is None:
-            warm = rwc_coefficients(k, n, spec)
+            warm = rwc_coefficients(k, n, spec, *start)
         else:
-            warm = rwcs_coefficients(k, n, s_c, spec, warm=warm)
+            warm = rwcs_coefficients(k, n, s_c, spec, *start)
+        record[:] = [*record[-1:], (warm.problem.reg_weight, warm.dual_weights)]
         cache[spec, k, n, s_c] = warm.coeffs
         diagnostics[s_c] = {
             "degree": warm.coeffs.degree,
@@ -203,3 +232,21 @@ def estimates(spec: EstimatorSpec, fps, k: float, cache: dict) -> list[EstimateR
         EstimateResult(apply_poly_estimator(fp, cache[spec, k, n, s_c]), diagnostics.get(s_c, {}))
         for fp, s_c in zip(fps, counts)
     ]
+
+
+def _secant(record: list, count: float, s: int):
+    """Dual weights at variance weight 1 / count on the secant through the
+    two (variance weight, dual weights) pairs of `record`, clipped at 0, or
+    None unless the pairs are at two weights on grids of s rates (and the
+    count is positive; the solve rejects the others).  The pairs' weights
+    sum to 1, so the clipped secant sums to at least 1.  The optimal duals
+    move smoothly with the weight, so between neighbouring weights the
+    secant often certifies at once."""
+    if len(record) < 2 or not count > 0:
+        return None
+    (r1, w1), (r2, w2) = record
+    if r1 == r2 or len(w1) != s or len(w2) != s:
+        return None
+    guess = (w2 - w1) * ((1.0 / count - r2) / (r2 - r1))
+    guess += w2
+    return guess.clip(0.0, None, out=guess)

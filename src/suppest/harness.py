@@ -6,8 +6,11 @@ splittable child seeds keyed by (distribution, n, trial), one sampling table
 per (distribution, n) cell (`data.sample_fingerprints`), and cells run
 serially in a fixed order.  Each cell's trials are estimated together by
 `estimators.estimates`, which solves each coefficient set once and fixes the
-order of the RWC-S warm chain.  Reports are plain values with no wall-clock
-times, so repeated runs give equal reports.
+order of the RWC-S warm chain.  Through the sweep's one cache it also carries
+each spec's last two RWC or RWC-S solves from cell to cell, and each solve
+first tries the secant through them, so the rwc and rwc-s statistics depend
+on the cell order, within the solver's certificate.  Reports are plain
+values with no wall-clock times, so repeated runs give equal reports.
 """
 
 from __future__ import annotations

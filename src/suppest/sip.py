@@ -13,7 +13,8 @@ primal-dual interior-point method.  Every iterate yields a primal/dual pair
 and hence a true duality-gap certificate: for any simplex weights w,
 q(w) = min_b sum_i w_i h_i(b) lower-bounds the optimum, and it is evaluated
 through a Householder QR least-squares residual.  The minimizer b*(w) itself
-is solved for only at the start point; later iterates move the primal b.
+is solved for only at the start point and at a guess of the duals (see
+`solve`); later iterates move the primal b.
 Each Newton system is (L+1) x (L+1) and is factored by one QR of s + L rows
 in O(s L^2): its quadratic block is 2 sum(z) times the aggregate matrix of
 the dual solve at w = z / sum(z), whose R factor that solve has just
@@ -230,7 +231,7 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
     takes without a copy.  Returns q(w) and the (L+1) x (L+1) triangle R of
     [A y]: its leading L x L block is the R of A, for the next Newton step,
     and b*(w) solves R[:L, :L] b = R[:L, L], which `solve` does only at its
-    start point.
+    start point and at a guess.
     """
     degree = data.degree
     s = len(w)
@@ -308,7 +309,9 @@ def _result(data: _QuadData, problem: SipProblem, coeffs: Polynomial, w, q, iter
     return SolveResult(problem, coeffs, t_d, max(t_d - q, 0.0), iterations, w, data.tables)
 
 
-def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None) -> SolveResult:
+def solve(
+    problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None, guess: np.ndarray | None = None
+) -> SolveResult:
     """Minimize the grid maximum of g with a certified duality gap <= tol.
 
     Mehrotra predictor-corrector on min t s.t. h_i(b) + slack_i = t, slack,
@@ -320,7 +323,17 @@ def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None
     accuracy.  When `warm` also has this problem's degree and grid, as along
     an RWC-S chain where only the variance weight changes, its grid tables
     are reused, with the same bits as built afresh.  Where one rate binds, at
-    degree 0 or on a one-point grid, the solve is a closed form instead.
+    degree 0 or on a one-point grid, the solve is a closed form instead, and
+    `guess` is ignored.
+
+    `guess`, dual weights over the grid (scaled to the simplex here), is
+    tried before iterating: when max h - q <= tol at b*(guess) and the
+    result's duality_gap <= tol, the tests of the iteration, the solve
+    returns it in 0 iterations with dual_weights = the scaled guess.
+    Otherwise, also when b*(guess) fails the rank test, the solve runs from
+    `warm` or the uniform start with the same bits as without a guess.  A
+    risk sweep guesses the secant through its last two solves
+    (`estimators.estimates`).
 
     The supported domain, with the default grid, tol and c0, is the table in
     tests/_domain.py: rwc and rwc-s certify for k = 1e2 to 1e15 at n/k = 1e-6
@@ -329,6 +342,8 @@ def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     s = len(problem.points)
 
     if warm is None:
@@ -336,11 +351,9 @@ def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None
         w = np.full(s, 1.0 / s)
     else:
         tables = warm.grid_tables
-        w = np.asarray(warm.dual_weights, dtype=float)
-        if w.shape != (s,) or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("the warm start's dual weights must be a nonnegative vector over the grid")
+        w = _simplex(warm.dual_weights, s, "the warm start's dual weights")
         # the interior-point duals must start strictly positive
-        w = 0.999 * (w / w.sum()) + 0.001 / s
+        w = 0.999 * w + 0.001 / s
     if tables is not None and not tables.fits(problem):
         tables = None
     data = _QuadData(problem, tables)
@@ -366,7 +379,34 @@ def solve(problem: SipProblem, tol: float = TOL, warm: SolveResult | None = None
         return _result(data, problem, Polynomial(coeffs), dual, q, 0)
 
     with one_blas_thread:
+        if guess is not None:
+            result = _certified(data, problem, tol, _simplex(guess, s, "the guess"))
+            if result is not None:
+                return result
         return _interior_point(data, problem, tol, w)
+
+
+def _simplex(weights, s: int, what: str) -> np.ndarray:
+    """Nonnegative weights over a grid of s rates, scaled to sum to 1."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (s,) or not (np.isfinite(w).all() and (w >= 0).all()) or w.sum() <= 0:
+        raise ValueError(f"{what} must be a nonnegative vector over the grid")
+    return w / w.sum()
+
+
+def _certified(data: _QuadData, problem: SipProblem, tol: float, w: np.ndarray) -> SolveResult | None:
+    """The result at b*(w) in 0 iterations if it passes both stopping tests of
+    `_interior_point`, else None; a w whose b*(w) is not determined fails."""
+    degree = problem.degree
+    try:
+        q, r = _dual_solve(data, w)
+    except RankDeficiencyError:
+        return None
+    b = np.linalg.solve(r[:degree, :degree], r[:degree, degree])
+    if float(data.values(b)[0].max()) - q > tol:
+        return None
+    result = _result(data, problem, data.unscale(b), w, q, 0)
+    return result if result.duality_gap <= tol else None
 
 
 def _interior_point(data: _QuadData, problem: SipProblem, tol: float, w: np.ndarray) -> SolveResult:

@@ -199,6 +199,9 @@ class TestEstimateDispatch:
             ("c1", math.inf, "c0 and c1 must be finite"),
             ("c1", math.nan, "c0 and c1 must be finite"),
             ("s", 2.5, "grid size s must be an integer"),
+            # an infinite tol would certify any start point
+            ("tol", math.inf, "tol must be finite"),
+            ("tol", math.nan, "tol must be finite"),
         ],
     )
     def test_spec_rejects(self, field, value, match):

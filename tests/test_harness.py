@@ -83,6 +83,37 @@ class TestEvaluateRisk:
             # both solves certify a gap <= tol on the same program
             assert abs(warm_max - cold.t_d) <= spec.tol
 
+    def test_guessed_solves_certify(self, monkeypatch):
+        # each rwc and rwc-s solve of a sweep first tries the secant through the
+        # spec's last two solves: some guesses certify at once, the rest iterate,
+        # and every polynomial is certified against a cold solve of its problem
+        dists = [make_distribution("zipf", 1e-3, alpha=0.5), make_distribution("uniform", 1e-3)]
+        specs = [EstimatorSpec("rwc", s=200), EstimatorSpec("rwc-s", s=200)]
+        solves = []
+        original = estimators.solve
+
+        def recording(problem, tol, warm=None, guess=None):
+            result = original(problem, tol, warm=warm, guess=guess)
+            solves.append((result, guess))
+            return result
+
+        monkeypatch.setattr(harness.est_mod, "solve", recording)
+        report = evaluate_risk(specs, dists, [0.5, 1.0], trials=8, seed=3)
+        monkeypatch.undo()
+        assert all(row.error == "" for row in report.rows)
+        guessed = [(result, guess) for result, guess in solves if guess is not None]
+        certified = [result for result, guess in guessed if result.iterations == 0]
+        assert certified and len(certified) < len(guessed)
+        for result, guess in guessed:
+            if result.iterations == 0:
+                assert np.array_equal(result.dual_weights, guess / guess.sum())
+        assert {r.problem.reg_weight for r, _ in solves} >= {1.0 / d.k for d in dists}
+        tol = specs[0].tol
+        for result, _ in solves:
+            problem = result.problem
+            grid_max = float(objective_values(result.coeffs, problem.points, problem.reg_weight)[2].max())
+            assert abs(grid_max - original(problem, tol).t_d) <= tol
+
     def test_cell_fingerprints_are_the_per_trial_samples(self, monkeypatch):
         # one sampling table per (distribution, n) cell draws what sample_fingerprint draws per trial
         suite = [("uniform", None), ("zipf", 1.5), ("zipf", 1.0), ("zipf", 0.5), ("zipf", 0.25), ("benford", None)]

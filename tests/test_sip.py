@@ -148,6 +148,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(_standard_problem(), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tol(self, tol):
+        # tol = inf would certify any start point and nan none
+        with pytest.raises(ValueError, match="tol must be finite"):
+            solve(_standard_problem(s=11), tol=tol)
+
     def test_bad_init_weights(self):
         # duals over another grid size, or negative ones, are no start
         with pytest.raises(ValueError):
@@ -192,6 +198,55 @@ class TestSolve:
             assert self._same_solve(warm, fresh)
         with pytest.raises(ValueError):  # a grid of another size
             solve(_standard_problem(s=201), warm=first)
+
+    def test_certified_guess_returns_at_once(self):
+        # the duals of a tighter solve certify at b*(w) without an iteration
+        problem = _standard_problem(reg=1e-6)
+        guess = 2.0 * solve(problem, tol=1e-13).dual_weights  # scaled to the simplex by solve
+        result = solve(problem, guess=guess)
+        assert result.iterations == 0 and result.duality_gap <= TOL
+        assert result.t_d == float(objective_values(result.coeffs, problem.points, problem.reg_weight)[2].max())
+        assert np.array_equal(result.dual_weights, guess / guess.sum())
+        assert result.grid_tables.fits(problem)
+
+    def test_secant_guess_certifies(self):
+        # the secant through two neighbouring variance weights, as a risk sweep guesses
+        first = solve(_standard_problem(reg=1e-6))
+        second = solve(_standard_problem(reg=1.01e-6), warm=first)
+        guess = (second.dual_weights + (second.dual_weights - first.dual_weights)).clip(0.0)
+        problem = _standard_problem(reg=1.02e-6)
+        result = solve(problem, warm=second, guess=guess)
+        assert result.iterations == 0 and result.duality_gap <= TOL
+        assert abs(result.t_d - solve(problem).t_d) <= TOL
+
+    @pytest.mark.parametrize("hot", [0, 500, 999])
+    def test_failed_guess_changes_no_bit(self, hot):
+        # a one-hot guess fails the certificate; the solve then runs as without it
+        problem = _standard_problem(reg=1e-6)
+        guess = np.zeros(1000)
+        guess[hot] = 1.0
+        warm = solve(_standard_problem(reg=2e-6))
+        for start in (None, warm):
+            result = solve(problem, warm=start, guess=guess)
+            assert result.iterations > 0
+            assert self._same_solve(result, solve(problem, warm=start))
+
+    def test_rank_deficient_guess_fails(self):
+        # unregularized, b*(w) of a guess on fewer than L + 1 rates is not determined
+        problem = SipProblem(3, build_grid(1.0, 19.5, 200), 0.0)
+        guess = np.zeros(200)
+        guess[:2] = 0.5
+        with pytest.raises(RankDeficiencyError):
+            _dual_solve(_QuadData(problem), guess)
+        assert self._same_solve(solve(problem, tol=1e-9, guess=guess), solve(problem, tol=1e-9))
+
+    @pytest.mark.parametrize(
+        "guess", [np.full(11, 0.1), -np.full(12, 1.0 / 12), np.zeros(12), np.full(12, math.nan), [1.0]],
+    )
+    def test_bad_guess(self, guess):
+        # as for warm: another grid size, negative, all-zero or non-finite weights
+        with pytest.raises(ValueError, match="the guess must be a nonnegative vector over the grid"):
+            solve(_standard_problem(s=12), guess=guess)
 
     def test_result_carries_problem(self, monkeypatch):
         degree_zero = SipProblem(0, build_grid(2.0, 10.0, 5), 0.3)
@@ -274,6 +329,14 @@ class TestOneRate:
         other = dataclasses.replace(cold, dual_weights=np.arange(1.0, len(points) + 1))
         assert TestSolve._same_solve(solve(problem, warm=other), cold)
 
+    @pytest.mark.parametrize("degree,points", [(0, build_grid(2.0, 10.0, 5)), (3, np.array([50.0]))])
+    def test_guess_ignored(self, degree, points):
+        # the closed form, whatever the guess: one over this grid or over another size
+        problem = SipProblem(degree, points, 1e-3)
+        cold = solve(problem)
+        for guess in (np.full(len(points), 1.0 / len(points)), np.full(1000, 1e-3)):
+            assert TestSolve._same_solve(solve(problem, guess=guess), cold)
+
 
 @pytest.fixture
 def blas_threads():
@@ -316,6 +379,21 @@ class TestOneBlasThread:
             solve(_standard_problem(s=101))
         assert get() == found
         assert seen and set(seen) == {1}
+
+    def test_guess_solved_on_one_thread(self, blas_threads, monkeypatch):
+        # the dual solve of a guess, certified or not, runs inside the same scope
+        get, set_ = blas_threads
+        set_(3)
+        problem = _standard_problem(s=101)
+        certifying = solve(problem, tol=1e-13).dual_weights
+        seen = _count_inside(monkeypatch, get)
+        assert solve(problem, guess=certifying).iterations == 0
+        assert seen == [1]
+        one_hot = np.zeros(101)
+        one_hot[0] = 1.0
+        assert solve(problem, guess=one_hot).iterations > 0
+        assert len(seen) > 2 and set(seen) == {1}
+        assert get() == 3
 
     def test_result_independent_of_thread_count(self, blas_threads):
         # rwc at k = n = 1e12: L = 15, whose QRs OpenBLAS would split over threads
