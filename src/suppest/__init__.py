@@ -15,6 +15,7 @@ from .estimators import (
     EstimateResult,
     EstimatorSpec,
     apply_poly_estimator,
+    coefficients,
     degree_for,
     estimate,
     good_turing,

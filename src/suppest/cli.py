@@ -177,40 +177,30 @@ def _cmd_coeffs(args) -> int:
     if args.s_count is not None and args.estimator != "rwc-s":
         raise ValueError(f"--s-count is read only by --estimator rwc-s, not {args.estimator}")
     spec = _spec_from_args(args, args.estimator)
-    if args.estimator == "wy":
-        p, (lo, hi) = est_mod.wy_coefficients(args.k, args.n, spec)
-        per_count, tail = g_values(p)
-        payload = {
-            "estimator": "wy",
-            "degree": p.degree,
-            "interval": [fmt(lo), fmt(hi)],
-            "coeffs": [fmt(c) for c in p.coeffs],
-            "g_values": [fmt(g) for g in per_count],
-            "g_tail": fmt(tail),
-        }
-    else:
-        if args.estimator == "rwc":
-            result = est_mod.rwc_coefficients(args.k, args.n, spec)
-        else:
-            if args.s_count is None:
-                raise ValueError("rwc-s needs --s-count (the naive counting estimate)")
-            result = est_mod.rwcs_coefficients(args.k, args.n, args.s_count, spec)
-        points = result.problem.points
-        per_count, tail = g_values(result.coeffs)
-        payload = {
-            "estimator": args.estimator,
-            "degree": result.problem.degree,
-            "reg_weight": fmt(result.problem.reg_weight),
-            "interval": [fmt(points[0]), fmt(points[-1])],
-            "grid_points": len(points),
-            "g_values": [fmt(g) for g in per_count],
-            "g_tail": fmt(tail),
-            "coeffs": [fmt(c) for c in result.coeffs.coeffs],
-            "t_d": fmt(result.t_d),
-            "duality_gap": fmt(result.duality_gap),
-            "iterations": result.iterations,
-        }
-    print(json.dumps(payload, indent=2))
+    if args.s_count is None and args.estimator == "rwc-s":
+        raise ValueError("rwc-s needs --s-count (the naive counting estimate)")
+    p, (lo, hi), result = est_mod.coefficients(spec, args.k, args.n, args.s_count)
+    per_count, tail = g_values(p)
+    # the solver's keys are None for wy, which solves nothing, and are dropped
+    payload = {
+        "estimator": spec.kind,
+        "degree": p.degree,
+        "reg_weight": None,
+        "interval": [fmt(lo), fmt(hi)],
+        "grid_points": None,
+        "g_values": [fmt(g) for g in per_count],
+        "g_tail": fmt(tail),
+        "coeffs": [fmt(c) for c in p.coeffs],
+    }
+    if result is not None:
+        payload.update(
+            reg_weight=fmt(result.problem.reg_weight),
+            grid_points=len(result.problem.points),
+            t_d=fmt(result.t_d),
+            duality_gap=fmt(result.duality_gap),
+            iterations=result.iterations,
+        )
+    print(json.dumps({key: v for key, v in payload.items() if v is not None}, indent=2))
     return 0
 
 
@@ -245,12 +235,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_bias_curve(args) -> int:
     """The g column uses variance weight 1/k, the weight rwc solves with."""
-    spec = _spec_from_args(args, args.estimator)
-    if args.estimator == "wy":
-        p, (lo, hi) = est_mod.wy_coefficients(args.k, args.n, spec)
-    else:
-        result = est_mod.rwc_coefficients(args.k, args.n, spec)
-        p, lo, hi = result.coeffs, result.problem.points[0], result.problem.points[-1]
+    p, (lo, hi), _ = est_mod.coefficients(_spec_from_args(args, args.estimator), args.k, args.n)
     lams = build_grid(lo, hi, args.points)
     var, bias, g = objective_values(p, lams, 1.0 / args.k)
     _print_csv(("lambda", "bias", "variance_term", "g"), zip(lams, bias, var, g))

@@ -3,9 +3,10 @@ and naive counting.
 
 Polynomial-class estimators all have the form S_hat = sum_j h_j * g(j) with
 g(j) = a_j * j! + 1 for counts j <= L and 1 beyond, differing only in how the
-coefficients a are chosen.  WY takes the shifted Chebyshev coefficients on
-[n/k, c1 ln k]; RWC solves the regularized weighted minimax with variance
-weight 1/k; RWC-S re-weights by 1 over the naive count from the same sample.
+coefficients a are chosen, which `coefficients` does for all three.  WY takes
+the shifted Chebyshev coefficients on [n/k, c1 ln k]; RWC solves the
+regularized weighted minimax with variance weight 1/k; RWC-S re-weights by 1
+over the naive count from the same sample.
 """
 
 from __future__ import annotations
@@ -56,16 +57,6 @@ class EstimatorSpec:
 
 
 @dataclass(frozen=True)
-class WarmStart:
-    """How a solve starts (see `sip.solve`): from `result`, an earlier solve
-    on a grid of the same size, and after trying the dual weights `guess`
-    (an array over the grid).  Either may be None."""
-
-    result: SolveResult | None = None
-    guess: object = None  # an array over the grid
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     value: float
     diagnostics: dict = field(default_factory=dict)
@@ -75,6 +66,8 @@ def degree_for(k: float, c0: float = EstimatorSpec.c0) -> int:
     """L = floor(c0 * ln k); natural logarithm throughout."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     return int(math.floor(c0 * math.log(k)))
 
 
@@ -93,38 +86,58 @@ def wy_coefficients(k: float, n: float, spec: EstimatorSpec) -> tuple[Polynomial
     return shifted_cheb_coeffs(degree, lo, hi), (lo, hi)
 
 
-def _solve_weighted(
-    k: float, n: float, count: float, spec: EstimatorSpec, warm: SolveResult | WarmStart | None
-) -> SolveResult:
+def _solve_weighted(k: float, n: float, count: float, spec: EstimatorSpec, warm, guess) -> SolveResult:
     """Solve with variance weight 1 / count, after degree_for has rejected k < 2."""
     degree = degree_for(k, spec.c0)
     problem = SipProblem(degree, build_grid(*localized_interval(n, k, degree), spec.s), 1.0 / count)
-    if not isinstance(warm, WarmStart):
-        warm = WarmStart(warm)
-    return solve(problem, tol=spec.tol, warm=warm.result, guess=warm.guess)
+    return solve(problem, tol=spec.tol, warm=warm, guess=guess)
 
 
 def rwc_coefficients(
-    k: float, n: float, spec: EstimatorSpec, warm: SolveResult | WarmStart | None = None
+    k: float, n: float, spec: EstimatorSpec, warm: SolveResult | None = None, guess=None
 ) -> SolveResult:
-    """Solve the discretized minimax with variance weight 1/k; `warm` as for
-    `rwcs_coefficients`."""
-    return _solve_weighted(k, n, k, spec, warm)
+    """Solve the discretized minimax with variance weight 1/k; `warm` and
+    `guess` as for `rwcs_coefficients`."""
+    return _solve_weighted(k, n, k, spec, warm, guess)
 
 
 def rwcs_coefficients(
-    k: float, n: float, s_count: float, spec: EstimatorSpec, warm: SolveResult | WarmStart | None = None
+    k: float, n: float, s_count: float, spec: EstimatorSpec, warm: SolveResult | None = None, guess=None
 ) -> SolveResult:
     """RWC variant with variance weight 1 over the naive counting estimate.
 
-    `warm` warm-starts the solver from an earlier solve on a grid of the same
-    size, such as a neighbouring count's on the same (k, n, spec) grid, or
-    is a `WarmStart`, which may also hold dual weights to try first (see
-    `sip.solve`); the result is certified to the same tolerance either way.
+    `warm`, an earlier solve on a grid of the same size (such as a
+    neighbouring count's on the same (k, n, spec) grid), and `guess`, dual
+    weights over the grid to try first, start the solver (see `sip.solve`);
+    the result is certified to the same tolerance either way.
     """
-    if s_count < 1:
+    if not s_count >= 1:
         raise ValueError(f"counting estimate must be >= 1, got {s_count}")
-    return _solve_weighted(k, n, s_count, spec, warm)
+    return _solve_weighted(k, n, s_count, spec, warm, guess)
+
+
+def coefficients(
+    spec: EstimatorSpec, k: float, n: float, s_count: float | None = None, warm: SolveResult | None = None, guess=None
+) -> tuple[Polynomial, tuple[float, float], SolveResult | None]:
+    """The polynomial of a polynomial-class estimator at (k, n), the interval
+    (lo, hi) it approximates on, and the solve behind it (None for WY).
+
+    RWC-S reads `s_count`, its naive counting estimate; `warm` and `guess`
+    start an RWC or RWC-S solve as for `rwcs_coefficients`.
+    """
+    if spec.kind == "wy":
+        p, interval = wy_coefficients(k, n, spec)
+        return p, interval, None
+    if spec.kind == "rwc":
+        result = rwc_coefficients(k, n, spec, warm, guess)
+    elif spec.kind == "rwc-s":
+        if s_count is None:
+            raise ValueError("rwc-s needs s_count, the naive counting estimate")
+        result = rwcs_coefficients(k, n, s_count, spec, warm, guess)
+    else:
+        raise ValueError(f"{spec.kind} is not a polynomial estimator")
+    points = result.problem.points
+    return result.coeffs, (points[0], points[-1]), result
 
 
 def apply_poly_estimator(fp: Fingerprint, p: Polynomial) -> float:
@@ -194,14 +207,6 @@ def estimates(spec: EstimatorSpec, fps, k: float, cache: dict) -> list[EstimateR
     if not fps:
         return []
     n = fps[0].n
-    if spec.kind == "wy":
-        key = (spec, k, n, None)
-        if key not in cache:
-            try:
-                cache[key] = wy_coefficients(k, n, spec)[0]
-            except IntervalCollapseError as exc:
-                return _naive_fallback(spec, fps, exc)
-        return [EstimateResult(apply_poly_estimator(fp, cache[key])) for fp in fps]
     counts = [naive_count(fp) if spec.kind == "rwc-s" else None for fp in fps]
     diagnostics = {}
     record = cache.setdefault(spec, [])
@@ -210,16 +215,14 @@ def estimates(spec: EstimatorSpec, fps, k: float, cache: dict) -> list[EstimateR
         if (spec, k, n, s_c) in cache:
             continue
         guess = _secant(record, k if s_c is None else s_c, spec.s)
-        # a start is passed only when there is one, so that the calls keep
-        # the plain forms rwc_coefficients(k, n, spec) and, for the first
-        # count, rwcs_coefficients(k, n, s_c, spec)
-        start = () if warm is None and guess is None else (WarmStart(warm, guess),)
-        if s_c is None:
-            warm = rwc_coefficients(k, n, spec, *start)
-        else:
-            warm = rwcs_coefficients(k, n, s_c, spec, *start)
+        try:
+            p, _, warm = coefficients(spec, k, n, s_c, warm, guess)
+        except IntervalCollapseError as exc:
+            return _naive_fallback(spec, fps, exc)
+        cache[spec, k, n, s_c] = p
+        if warm is None:  # WY, which solves nothing
+            continue
         record[:] = [*record[-1:], (warm.problem.reg_weight, warm.dual_weights)]
-        cache[spec, k, n, s_c] = warm.coeffs
         diagnostics[s_c] = {
             "degree": warm.coeffs.degree,
             "t_d": warm.t_d,

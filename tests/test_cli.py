@@ -267,6 +267,15 @@ class TestCoeffs:
         assert payload["grid_points"] == grid_points
         assert len(payload["coeffs"]) == len(payload["g_values"]) == degree + 1
 
+    @pytest.mark.parametrize("argv", [(), ("--estimator", "rwc-s", "--s-count", "6321"), ("--estimator", "wy")])
+    def test_key_order(self, capsys, argv):
+        # wy solves nothing: its record is the rwc record without the solver's keys
+        code, out, _ = run(capsys, "coeffs", "--k", "1e4", "--n", "1e4", "--s", "200", *argv)
+        assert code == 0
+        solver_keys = {"reg_weight", "grid_points", "t_d", "duality_gap", "iterations"}
+        expected = [key for key in self.RECORD_KEYS if "wy" not in argv or key not in solver_keys]
+        assert list(json.loads(out)) == expected
+
     def test_rwcs_needs_count(self, capsys):
         code, _, err = run(capsys, "coeffs", "--k", "1e4", "--n", "1e4", "--estimator", "rwc-s")
         assert code == 1

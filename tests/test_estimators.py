@@ -11,6 +11,7 @@ from suppest.estimators import (
     IntervalCollapseError,
     KINDS,
     apply_poly_estimator,
+    coefficients,
     degree_for,
     estimate,
     estimates,
@@ -38,6 +39,13 @@ class TestDegreeFor:
         assert degree_for(2) == 0
         with pytest.raises(ValueError):
             degree_for(1)
+
+    def test_non_finite(self):
+        for k in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="k must be finite"):
+                degree_for(k)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            degree_for(-math.inf)
 
 
 class TestWyCoefficients:
@@ -88,6 +96,41 @@ class TestRwcsCoefficients:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             rwcs_coefficients(1e4, 1e4, 0.0, FAST)
+
+    def test_rejects_nan_count_before_solving(self):
+        with pytest.raises(ValueError, match="counting estimate must be >= 1, got nan"):
+            rwcs_coefficients(1e4, 1e4, math.nan, FAST)
+
+
+class TestCoefficients:
+    def test_wy(self):
+        spec = EstimatorSpec("wy")
+        p, interval, result = coefficients(spec, 1e4, 1e4)
+        direct, direct_interval = wy_coefficients(1e4, 1e4, spec)
+        assert np.array(p.coeffs).tobytes() == np.array(direct.coeffs).tobytes()
+        assert (interval, result) == (direct_interval, None)
+
+    @pytest.mark.parametrize("kind", ["rwc", "rwc-s"])
+    def test_solved(self, kind):
+        spec = EstimatorSpec(kind, s=200)
+        p, interval, result = coefficients(spec, 1e4, 1e4, 6321.0)
+        if kind == "rwc":
+            direct = rwc_coefficients(1e4, 1e4, spec)
+        else:
+            direct = rwcs_coefficients(1e4, 1e4, 6321.0, spec)
+        assert p is result.coeffs
+        assert np.array(p.coeffs).tobytes() == np.array(direct.coeffs.coeffs).tobytes()
+        points = direct.problem.points
+        assert interval == (points[0], points[-1])
+
+    def test_rwcs_needs_count(self):
+        with pytest.raises(ValueError, match="s_count"):
+            coefficients(EstimatorSpec("rwc-s", s=200), 1e4, 1e4)
+
+    @pytest.mark.parametrize("kind", ["gt", "naive"])
+    def test_not_polynomial(self, kind):
+        with pytest.raises(ValueError, match="not a polynomial estimator"):
+            coefficients(EstimatorSpec(kind), 1e4, 1e4)
 
 
 class TestApplyPolyEstimator:

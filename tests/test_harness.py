@@ -59,8 +59,8 @@ class TestEvaluateRisk:
         fps = [sample_fingerprint(dist, n, child_seed(5, 0, 0, t)) for t in range(8)]
         calls = []
 
-        def recording(k_, n_, s_count, spec_, warm=None):
-            result = rwcs_coefficients(k_, n_, s_count, spec_, warm=warm)
+        def recording(k_, n_, s_count, spec_, warm=None, guess=None):
+            result = rwcs_coefficients(k_, n_, s_count, spec_, warm=warm, guess=guess)
             calls.append((s_count, warm is not None, result.coeffs))
             return result
 
@@ -169,7 +169,7 @@ class TestEvaluateRisk:
         for name in ("rwc_coefficients", "wy_coefficients"):
             original = getattr(estimators, name)
 
-            def counted(k, n, spec, original=original, name=name):
+            def counted(k, n, spec, *start, original=original, name=name):
                 calls.append((name, k, n))
                 return original(k, n, spec)
 
@@ -237,7 +237,7 @@ class TestEvaluateRisk:
         # a coarse-grid spec must not reuse the default spec's coefficients
         grid_sizes = []
 
-        def counted(k, n, spec):
+        def counted(k, n, spec, *start):
             result = rwc_coefficients(k, n, spec)
             grid_sizes.append(len(result.problem.points))
             return result
