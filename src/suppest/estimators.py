@@ -113,6 +113,8 @@ def rwcs_coefficients(
     """
     if not s_count >= 1:
         raise ValueError(f"counting estimate must be >= 1, got {s_count}")
+    if not math.isfinite(s_count):  # it would solve at variance weight 0
+        raise ValueError(f"counting estimate must be finite, got {s_count}")
     return _solve_weighted(k, n, s_count, spec, warm, guess)
 
 

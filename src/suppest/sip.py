@@ -24,8 +24,11 @@ the corrector.
 At s = 1000 an iteration costs numpy call overhead and memory traffic more
 than arithmetic.  So the per-point data is stored (L, s), one contiguous row
 per coefficient, and both QR inputs are allocated once per solve and filled
-as C-ordered transposes: the Fortran-ordered matrices LAPACK reads without
-numpy's reordering copy.
+as C-ordered transposes: the Fortran-ordered matrices that LAPACK's dgeqrf
+factors in place, with no copy.  dgeqrf is called through
+`numpy.linalg.lapack_lite`, the one numpy module used outside its public
+API; it is the routine and library `np.linalg.qr` reaches, and
+tests/test_sip.py::TestInPlaceQR checks that R has the same bits.
 
 `solve` runs on one BLAS thread and restores the process's thread count when
 it returns or raises.  Its QRs are too small for a second thread to pay for
@@ -42,6 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from ._blas import one_blas_thread
 from .poly import Polynomial, _log_factorials, objective_values
@@ -192,8 +196,9 @@ class _QuadData:
     variance weight (tables built afresh when none are lent).  V and M are
     stored (L, s), one contiguous row per coefficient, so every product with
     them runs along the grid.  It also holds the transposed QR inputs of
-    `_dual_solve` and `_newton_factor`, allocated per solve: their zero
-    blocks stay zero while each iteration fills the rest.
+    `_dual_solve` and `_newton_factor` and dgeqrf's scalar factors and
+    workspace, allocated per solve so that concurrent solves share none.
+    dgeqrf overwrites its input, so each fill also rewrites the zero cells.
     """
 
     def __init__(self, problem: SipProblem, tables: _GridTables | None = None):
@@ -207,6 +212,10 @@ class _QuadData:
         s = len(problem.points)
         self.aug_t = np.zeros((degree + 1, s + degree))
         self.rows_t = np.zeros((degree + 1, s + degree))
+        self.tau, self.work = np.empty(degree + 1), np.empty(1)
+        # dgeqrf's workspace, of the size it asks for (lwork = -1), as np.linalg.qr sizes it
+        lapack_lite.dgeqrf(s + degree, degree + 1, self.aug_t, s + degree, self.tau, self.work, -1, 0)
+        self.work = np.empty(max(degree + 1, int(self.work[0])))
 
     def values(self, b: np.ndarray):
         """Constraint values h and bias residuals b . V - v0 at b."""
@@ -214,7 +223,11 @@ class _QuadData:
         return res * res + (b * b) @ self.M + self.m0, res
 
     def unscale(self, b: np.ndarray) -> Polynomial:
-        return Polynomial((-1.0, *(b / self.tables.mu ** np.arange(1, self.degree + 1))))
+        # a power of mu past the double range (from about L = 118) gives the
+        # coefficient 0, whose true value is below that range too
+        with np.errstate(over="ignore"):
+            powers = self.tables.mu ** np.arange(1, self.degree + 1)
+        return Polynomial((-1.0, *(b / powers)))
 
 
 def _dual_solve(data: _QuadData, w: np.ndarray):
@@ -227,8 +240,8 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
     a rank truncation (which would overstate q).  The aggregate matrix A^T A,
     equilibrated on its diagonal, must still admit a Cholesky factorization:
     otherwise b*(w) is not determined in double precision.  [A y] is filled
-    as its transpose in C order, which is the Fortran-ordered matrix LAPACK
-    takes without a copy.  Returns q(w) and the (L+1) x (L+1) triangle R of
+    as its transpose in C order, which is the Fortran-ordered matrix dgeqrf
+    factors in place.  Returns q(w) and the (L+1) x (L+1) triangle R of
     [A y]: its leading L x L block is the R of A, for the next Newton step,
     and b*(w) solves R[:L, :L] b = R[:L, L], which `solve` does only at its
     start point and at a guess.
@@ -239,10 +252,11 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
     aug_t = data.aug_t
     np.multiply(data.V, sw, out=aug_t[:degree, :s])
     np.multiply(data.v0, sw, out=aug_t[degree, :s])
+    aug_t[:, s:] = 0.0  # the last QR left Householder vectors there
     aug_t[data.tables.diag] = np.sqrt(data.M @ w)
     r = _triangle(data, aug_t)
     r_a = r[:degree, :degree]
-    norms = np.linalg.norm(r_a, axis=0)
+    norms = np.sqrt(np.add.reduce(r_a * r_a, axis=0))  # np.linalg.norm's sum, without its wrapper
     if not norms.all():
         raise RankDeficiencyError(_underflow_message(data, np.flatnonzero(norms == 0.0) + 1))
     scaled = r_a / norms
@@ -257,13 +271,16 @@ def _dual_solve(data: _QuadData, w: np.ndarray):
 
 
 def _triangle(data: _QuadData, filled_t: np.ndarray) -> np.ndarray:
-    """The (L+1) x (L+1) R of a QR of filled_t.T.  LAPACK's raw output holds R
-    in its upper triangle and the Householder vectors below it.  mode="r"
-    zeroes them through np.triu, which builds its mask anew at every call;
-    here the mask is built once per grid tables.  R is copied out, so the raw
-    (L+1) x (s+L) output is freed at once."""
-    raw = np.linalg.qr(filled_t.T, mode="raw")[0]  # the transpose of LAPACK's array
-    return np.where(data.tables.upper, raw[:, : data.degree + 1].T, 0.0)
+    """The (L+1) x (L+1) R of a QR of filled_t.T, factored in place by
+    dgeqrf: C-ordered filled_t is that matrix in LAPACK's column-major order.
+    dgeqrf leaves R in its upper triangle and the Householder vectors below
+    it; R is copied out, zeroed below through a mask built once per grid
+    tables (np.triu builds its mask anew at every call)."""
+    n, m = filled_t.shape
+    info = lapack_lite.dgeqrf(m, n, filled_t, m, data.tau, data.work, len(data.work), 0)["info"]
+    if info:
+        raise RuntimeError(f"dgeqrf rejected argument {-info}")
+    return np.where(data.tables.upper, filled_t[:, :n].T, 0.0)
 
 
 def _underflow_message(data: _QuadData, zero: np.ndarray) -> str:
@@ -290,14 +307,15 @@ def _newton_factor(data: _QuadData, b, res, d, z_sum, r_dual):
     transpose, as in `_dual_solve`.  `d` is z / slack.
     """
     degree = data.degree
-    # in place: one (L, s) temporary fewer at the solve's memory peak
-    grad = res * data.V
-    grad += b[:, None] * data.M
-    grad *= 2.0
+    # in place: one (L, s) temporary fewer at the solve's memory peak; the
+    # factors 2 are exact, so this is 2 (res V + b M) to the bit
+    grad = (2.0 * res) * data.V
+    grad += (2.0 * b)[:, None] * data.M
     sd = np.sqrt(d)
     rows_t = data.rows_t
     r_a = r_dual[:degree, :degree]
     np.multiply(r_a.T, math.sqrt(2.0 * z_sum), out=rows_t[:degree, :degree])
+    rows_t[degree, :degree] = 0.0  # the last QR left R's last column there
     np.multiply(grad, sd, out=rows_t[:degree, degree:])
     np.negative(sd, out=rows_t[degree, degree:])
     return grad, _triangle(data, rows_t)
@@ -463,7 +481,7 @@ def _interior_point(data: _QuadData, problem: SipProblem, tol: float, w: np.ndar
 
         def max_step(dz, dslack):
             """Largest step in (0, 1] keeping z and slack nonnegative."""
-            return 1.0 / max(1.0, float((-dz / z).max()), float((-dslack / slack).max()))
+            return 1.0 / max(1.0, -float((dz / z).min()), -float((dslack / slack).min()))
 
         # a dot product, not z_slack.sum(): the pairwise sum rounds otherwise
         mu = float(z @ slack) / s

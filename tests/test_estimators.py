@@ -101,6 +101,11 @@ class TestRwcsCoefficients:
         with pytest.raises(ValueError, match="counting estimate must be >= 1, got nan"):
             rwcs_coefficients(1e4, 1e4, math.nan, FAST)
 
+    def test_rejects_infinite_count(self):
+        # 1 / inf would solve the unregularized minimax, not RWC-S
+        with pytest.raises(ValueError, match="counting estimate must be finite, got inf"):
+            rwcs_coefficients(1e4, 1e4, math.inf, EstimatorSpec("rwc-s", s=200))
+
 
 class TestCoefficients:
     def test_wy(self):

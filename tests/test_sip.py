@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -277,6 +278,81 @@ class TestSolve:
         explicit[:degree, :degree] += 2.0 * ((data.V * z) @ data.V.T + np.diag(data.M @ z))
         err = np.linalg.norm(r_fac.T @ r_fac - explicit) / np.linalg.norm(explicit)
         assert err <= 1e-10
+
+
+def _qr_r(x):
+    """The R of np.linalg.qr, as bytes, so that the sign of a zero counts too."""
+    return np.linalg.qr(x, mode="r").tobytes()
+
+
+class TestInPlaceQR:
+    """`_dual_solve` and `_newton_factor` factor their inputs in place through
+    dgeqrf; their R must have the bits of np.linalg.qr on the same matrix,
+    also on a second call, after dgeqrf has overwritten the buffers."""
+
+    @staticmethod
+    def _calls(data, seed):
+        """The weights and R of one _dual_solve, and the arguments and R of
+        one _newton_factor, at random duals; each R is checked against
+        np.linalg.qr of its matrix built here."""
+        degree, s = data.degree, data.V.shape[1]
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(0.5, 2.0, s) / s
+        slack = rng.uniform(0.1, 1.0, s)
+        w = z / z.sum()
+        _, r = _dual_solve(data, w)
+        sw = np.sqrt(w)
+        aug = np.zeros((s + degree, degree + 1))
+        aug[:s, :degree] = data.V.T * sw[:, None]
+        aug[:s, degree] = data.v0 * sw
+        aug[np.arange(s, s + degree), np.arange(degree)] = np.sqrt(data.M @ w)
+        assert r.tobytes() == _qr_r(aug)
+
+        b = np.linalg.solve(r[:degree, :degree], r[:degree, degree])
+        _, res = data.values(b)
+        d = z / slack
+        args = (b, res, d, z.sum(), r)
+        grad, r_fac = _newton_factor(data, *args)
+        twice = res * data.V
+        twice += b[:, None] * data.M
+        twice *= 2.0
+        assert grad.tobytes() == twice.tobytes()
+        sd = np.sqrt(d)
+        rows = np.zeros((degree + s, degree + 1))
+        rows[:degree, :degree] = r[:degree, :degree] * math.sqrt(2.0 * z.sum())
+        rows[degree:, :degree] = grad.T * sd[:, None]
+        rows[degree:, degree] = -sd
+        assert r_fac.tobytes() == _qr_r(rows)
+        return w, r, args, r_fac
+
+    @pytest.mark.parametrize("k,n_over_k", [(1e2, 0.1), (1e6, 0.1), (1e15, 1e-3)])  # L = 2, 7, 19
+    def test_same_bits_as_numpy_qr(self, k, n_over_k):
+        degree = degree_for(k)
+        problem = SipProblem(degree, build_grid(*localized_interval(k * n_over_k, k, degree), 1000), 1.0 / k)
+        data = _QuadData(problem)
+        self._calls(data, 1)
+        w, r, args, r_fac = self._calls(data, 2)
+        fresh = _QuadData(problem)
+        assert _dual_solve(fresh, w)[1].tobytes() == r.tobytes()
+        assert _newton_factor(fresh, *args)[1].tobytes() == r_fac.tobytes()
+
+
+class TestUnscale:
+    def test_powers_past_double_range_without_warning(self):
+        # coeffs --k 1e10 --n 1e4 --c0 5.22: L = 120 on [1e-6, 780], mu = 390;
+        # mu^l overflows from l = 119, where the coefficient is 0
+        degree = 120
+        data = _QuadData(SipProblem(degree, build_grid(1e-6, 6.5 * degree, 1000), 1e-10))
+        b = np.linspace(1.0, 2.0, degree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = np.array(data.unscale(b).coeffs[1:])
+        with np.errstate(over="ignore"):
+            powers = data.tables.mu ** np.arange(1, degree + 1)
+        overflow = np.isinf(powers)
+        assert overflow.any() and not overflow.all()
+        assert (coeffs[overflow] == 0.0).all()
+        assert coeffs[~overflow].tobytes() == (b / powers)[~overflow].tobytes()
 
 
 # the smallest subnormal double
